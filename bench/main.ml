@@ -674,30 +674,20 @@ let bench_parallel budgets ~domains =
     cases
 
 (* Batch verification: every conjunct of a family's property verified
-   as its own property in one Mc.Batch run (shared manager, proven
-   invariants pooled) vs the n-fold sequential unrolling -- a fresh
-   model and manager per property, exactly what n independent icv
-   invocations would pay.  The headline rows run the default pool-only
-   sharing; families where it is affordable get a second row labelled
-   "speculate" ablating the assumption channel on, which documents why
-   speculation is opt-in (the transformed goods are monolithic BDDs
-   over all properties' variables, costing more than they save here).
-   The per-family rows land in BENCH_batch.json under --json; the
-   speedup column carries the amortisation claim, and bench_compare
-   --require-speedup gates it. *)
+   as its own property in one pooled Mc.Batch run (shared manager,
+   proven invariants pooled) vs the n-fold sequential unrolling -- a
+   fresh model and manager per property, exactly what n independent
+   icv invocations would pay.  The per-family rows land in
+   BENCH_batch.json under --json; the speedup column carries the
+   amortisation claim, and bench_compare --require-speedup gates it. *)
 let bench_batch budgets ~quick =
   head "=== Batch: multi-property run vs n sequential runs ===";
-  (* per case: name, whether to also run the speculate-on ablation
-     (skipped where it is known pathological or over the quick budget),
-     model thunk *)
   let cases =
     [
       ( "network-4",
-        true,
         fun () -> Models.Network.make { Models.Network.procs = 4; bug = false }
       );
       ( (if quick then "fifo-5" else "fifo-10"),
-        false,
         fun () ->
           Models.Typed_fifo.make
             {
@@ -705,10 +695,9 @@ let bench_batch budgets ~quick =
               depth = (if quick then 5 else 10);
             } );
       ( "abp-8",
-        not quick,
         fun () -> Models.Abp.make { Models.Abp.width = 8; bug = false } );
     ]
-    @ if quick then [] else [ ("cpu-2R1B", true, fun () -> cpu_model 2 1) ]
+    @ if quick then [] else [ ("cpu-2R1B", fun () -> cpu_model 2 1) ]
   in
   (* Only a proved <-> violated flip is a soundness alarm; an Exceeded
      on one side is a budget artifact (the batch arm's traversal order
@@ -726,7 +715,7 @@ let bench_batch budgets ~quick =
     | None, _ | _, None -> false
   in
   List.iter
-    (fun (name, spec_row, make) ->
+    (fun (name, make) ->
       let n = List.length (make ()).Mc.Model.good in
       (* Sequential arm: property i on a fresh manager. *)
       let seq_time = ref 0.0 in
@@ -747,70 +736,56 @@ let bench_batch budgets ~quick =
             seq_time := !seq_time +. (Unix.gettimeofday () -. t0);
             Mc.Report.status_string r)
       in
-      let batch_arm ~speculate ~label =
-        let model = make () in
-        let base_nodes = Bdd.created_nodes (Mc.Model.man model) in
-        let res =
-          Mc.Batch.run ~limits:(limits_of budgets) ~speculate model
-            (Mc.Batch.of_goods model)
-        in
-        let nodes = Bdd.created_nodes (Mc.Model.man model) - base_nodes in
-        let batch_statuses =
-          List.map
-            (fun (it : Mc.Batch.item) ->
-              Mc.Report.status_string it.Mc.Batch.report)
-            res.Mc.Batch.items
-        in
-        (* The differential harness proves verdict equality on random
-           specs; here it guards the benchmark itself against comparing
-           apples to oranges. *)
-        if List.exists2 genuine_flip batch_statuses seq_statuses then
-          Format.printf
-            "  %-10s WARNING: batch/sequential verdicts differ!@." name;
-        let wall = res.Mc.Batch.wall_time_s in
-        let speedup = if wall > 0.0 then !seq_time /. wall else 0.0 in
-        let s = res.Mc.Batch.stats in
-        let status =
-          if List.for_all (( = ) "proved") batch_statuses then "proved"
-          else "mixed"
-        in
-        Format.printf
-          "  %-10s %-9s %d props   seq %6.2fs   batch %6.2fs (%.3fs/prop)   \
-           speedup %.2fx   shared=%d speculated=%d refuted=%d rechecks=%d@.%!"
-          name
-          (if label = "" then "pooled" else label)
-          n !seq_time wall
-          (wall /. float_of_int (max 1 n))
-          speedup s.Mc.Batch.invariants_shared
-          s.Mc.Batch.invariants_speculated s.Mc.Batch.speculations_refuted
-          s.Mc.Batch.rechecks;
-        if !json_mode then
-          json_rows :=
-            Obs.Json.Obj
-              [
-                ("model", Obs.Json.String name);
-                ("method", Obs.Json.String "batch:xici");
-                ("label", Obs.Json.String label);
-                ("status", Obs.Json.String status);
-                ("properties", Obs.Json.Int n);
-                ("nodes_created", Obs.Json.Int nodes);
-                ("sequential_seconds", Obs.Json.Float !seq_time);
-                ("wall_seconds", Obs.Json.Float wall);
-                ( "amortised_per_property_seconds",
-                  Obs.Json.Float (wall /. float_of_int (max 1 n)) );
-                ("speedup", Obs.Json.Float speedup);
-                ( "invariants_shared",
-                  Obs.Json.Int s.Mc.Batch.invariants_shared );
-                ( "invariants_speculated",
-                  Obs.Json.Int s.Mc.Batch.invariants_speculated );
-                ( "speculations_refuted",
-                  Obs.Json.Int s.Mc.Batch.speculations_refuted );
-                ("rechecks", Obs.Json.Int s.Mc.Batch.rechecks);
-              ]
-            :: !json_rows
+      let model = make () in
+      let base_nodes = Bdd.created_nodes (Mc.Model.man model) in
+      let res =
+        Mc.Batch.run ~limits:(limits_of budgets) model
+          (Mc.Batch.of_goods model)
       in
-      batch_arm ~speculate:false ~label:"";
-      if spec_row then batch_arm ~speculate:true ~label:"speculate")
+      let nodes = Bdd.created_nodes (Mc.Model.man model) - base_nodes in
+      let batch_statuses =
+        List.map
+          (fun (it : Mc.Batch.item) ->
+            Mc.Report.status_string it.Mc.Batch.report)
+          res.Mc.Batch.items
+      in
+      (* The differential harness proves verdict equality on random
+         specs; here it guards the benchmark itself against comparing
+         apples to oranges. *)
+      if List.exists2 genuine_flip batch_statuses seq_statuses then
+        Format.printf "  %-10s WARNING: batch/sequential verdicts differ!@."
+          name;
+      let wall = res.Mc.Batch.wall_time_s in
+      let speedup = if wall > 0.0 then !seq_time /. wall else 0.0 in
+      let shared = res.Mc.Batch.stats.Mc.Batch.invariants_shared in
+      let status =
+        if List.for_all (( = ) "proved") batch_statuses then "proved"
+        else "mixed"
+      in
+      Format.printf
+        "  %-10s %d props   seq %6.2fs   batch %6.2fs (%.3fs/prop)   speedup \
+         %.2fx   shared=%d@.%!"
+        name n !seq_time wall
+        (wall /. float_of_int (max 1 n))
+        speedup shared;
+      if !json_mode then
+        json_rows :=
+          Obs.Json.Obj
+            [
+              ("model", Obs.Json.String name);
+              ("method", Obs.Json.String "batch:xici");
+              ("label", Obs.Json.String "");
+              ("status", Obs.Json.String status);
+              ("properties", Obs.Json.Int n);
+              ("nodes_created", Obs.Json.Int nodes);
+              ("sequential_seconds", Obs.Json.Float !seq_time);
+              ("wall_seconds", Obs.Json.Float wall);
+              ( "amortised_per_property_seconds",
+                Obs.Json.Float (wall /. float_of_int (max 1 n)) );
+              ("speedup", Obs.Json.Float speedup);
+              ("invariants_shared", Obs.Json.Int shared);
+            ]
+          :: !json_rows)
     cases
 
 (* Daemon throughput: a resident icvd on a Unix socket under synthetic

@@ -71,9 +71,16 @@ let with_tracing trace_out trace_format f =
       f
 
 let run_checked model_name depth width procs regs bound assisted bug meth_name
-    trace max_seconds max_live grow_threshold parallel batch props speculate
+    trace max_seconds max_live grow_threshold parallel batch props
     portfolio resilient retries budget_escalation max_created checkpoint checkpoint_every
     resume fallback stats trace_out trace_format verbose =
+  (* Plain verification is sequential, so extra domains would be
+     silently idle: only the modes that use them accept them. *)
+  if parallel >= 2 && not (portfolio || batch || resilient || fallback <> "")
+  then
+    failwith
+      "--parallel N (N >= 2) needs one of --portfolio, --batch, \
+       --resilient or --fallback";
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -84,13 +91,6 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
       man
   in
   let xici_cfg = { Ici.Policy.default with grow_threshold } in
-  (* --parallel N without --portfolio parallelises the Figure-1 pair
-     scoring inside XICI instead of racing whole configurations. *)
-  let evaluator =
-    if parallel >= 2 && not portfolio then
-      Some (Mc.Parallel.pair_evaluator ~domains:parallel ())
-    else None
-  in
   let show_trace label r =
     match r.Mc.Report.status with
     | Mc.Report.Violated tr when trace ->
@@ -109,8 +109,8 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
   with_tracing trace_out trace_format (fun () ->
   if batch then begin
     (* Batch mode: verify the model's property conjuncts as separate
-       properties in one orchestrated run (shared images, pooled
-       invariants, speculative assumptions with a soundness recheck). *)
+       properties in one orchestrated run (shared images and pooled
+       invariants). *)
     let meth =
       match Mc.Runner.of_name meth_name with
       | Some m -> m
@@ -142,8 +142,8 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
           props
     in
     let res =
-      Mc.Batch.run ~limits ~meth ~xici_cfg ~speculate
-        ~domains:(max 1 parallel) model selected
+      Mc.Batch.run ~limits ~meth ~xici_cfg ~domains:(max 1 parallel) model
+        selected
     in
     Format.printf "batch: %d propertie(s) on %d domain(s), %.2fs wall@."
       (List.length selected) res.Mc.Batch.domains_used
@@ -152,16 +152,10 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
     List.iter
       (fun (it : Mc.Batch.item) ->
         Format.printf "%a@." Mc.Report.pp_row it.Mc.Batch.report;
-        if it.Mc.Batch.rechecked then
-          Format.printf "  %s rechecked after a refuted speculation@."
-            it.Mc.Batch.prop.Mc.Batch.pname;
         show_trace it.Mc.Batch.prop.Mc.Batch.pname it.Mc.Batch.report)
       res.Mc.Batch.items;
-    let s = res.Mc.Batch.stats in
-    Format.printf
-      "invariants shared %d, speculated %d, refuted %d, rechecks %d@."
-      s.Mc.Batch.invariants_shared s.Mc.Batch.invariants_speculated
-      s.Mc.Batch.speculations_refuted s.Mc.Batch.rechecks
+    Format.printf "invariants shared %d@."
+      res.Mc.Batch.stats.Mc.Batch.invariants_shared
   end
   else if portfolio then begin
     (* Portfolio mode: race the default configuration mix on worker
@@ -228,7 +222,7 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
     List.iter
       (fun meth ->
         let r =
-          Mc.Runner.run ~limits ~xici_cfg ?evaluator
+          Mc.Runner.run ~limits ~xici_cfg
             ?checkpoint_path:checkpoint ~checkpoint_every ?resume_from meth
             model
         in
@@ -239,12 +233,12 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
   if stats then Mc.Telemetry.print_summary (Mc.Model.man model)
 
 let run model_name depth width procs regs bound assisted bug meth_name trace
-    max_seconds max_live grow_threshold parallel batch props speculate
+    max_seconds max_live grow_threshold parallel batch props
     portfolio resilient retries budget_escalation max_created checkpoint
     checkpoint_every resume fallback stats trace_out trace_format verbose =
   try
     run_checked model_name depth width procs regs bound assisted bug meth_name
-      trace max_seconds max_live grow_threshold parallel batch props speculate
+      trace max_seconds max_live grow_threshold parallel batch props
       portfolio resilient retries budget_escalation max_created checkpoint
       checkpoint_every resume fallback stats trace_out trace_format verbose
   with
@@ -562,8 +556,11 @@ let () =
       & info [ "parallel" ] ~docv:"N"
           ~doc:
             "Worker domains.  With --portfolio, race configurations on \
-             $(docv) domains; without it, parallelise the XICI pairwise \
-             scoring across $(docv) scratch managers.")
+             $(docv) domains; with --batch, schedule the properties onto \
+             $(docv) domains; with --resilient or --fallback, first race \
+             the fallback portfolio on $(docv) domains.  Plain \
+             verification is sequential, so $(docv) >= 2 without one of \
+             those four flags is an error.")
   in
   let batch =
     Arg.(
@@ -571,10 +568,11 @@ let () =
       & info [ "batch" ]
           ~doc:
             "Verify the model's property conjuncts as separate properties in \
-             one batch: shared image computations and a pooled invariant \
-             store (add --speculate for cross-property assumptions).  With \
-             --parallel N, properties are scheduled onto $(i,N) worker \
-             domains.")
+             one batch, in order: they share image computations, and every \
+             proved property and derived XICI invariant joins a pool that \
+             assists the later ones.  With --parallel N, properties are \
+             scheduled round-robin onto $(i,N) worker domains, each with \
+             its own pool.")
   in
   let props =
     Arg.(
@@ -584,18 +582,6 @@ let () =
             "Verify only property $(docv) (an index or a name like p2; \
              repeatable).  Only meaningful with --batch; default: all \
              conjuncts.")
-  in
-  let speculate =
-    Arg.(
-      value & flag
-      & info [ "speculate" ]
-          ~doc:
-            "In --batch mode, speculatively assume the goods of undecided \
-             properties while verifying each property (verdicts stay sound: \
-             conditional proofs are discharged or rechecked).  Off by \
-             default: the assumption conjunction is a monolithic BDD over \
-             every property's variables, which usually costs more than it \
-             saves.")
   in
   let portfolio =
     Arg.(
@@ -696,7 +682,7 @@ let () =
     Term.(
       const run $ model $ depth $ width $ procs $ regs $ bound $ assisted
       $ bug $ meth $ trace $ max_seconds $ max_live $ grow $ parallel
-      $ batch $ props $ speculate $ portfolio $ resilient
+      $ batch $ props $ portfolio $ resilient
       $ retries $ budget_escalation $ max_created $ checkpoint
       $ checkpoint_every $ resume $ fallback $ stats $ trace_out
       $ trace_format $ verbose)

@@ -1,14 +1,13 @@
 (* Differential fuzzing of Mc.Batch.
 
-   Speculative invariant sharing is exactly the kind of optimisation
-   that is easy to make unsound -- an assumption leaking into a final
-   verdict, a refuted speculation whose dependents are not rechecked, a
-   counterexample valid only for the transformed property.  So the
-   batch is held to the strongest oracle available: every per-property
-   verdict must equal the explicit-state reference AND an independent
-   sequential run, under every method and policy configuration, and
-   every counterexample must replay concretely against its own
-   untransformed property. *)
+   Invariant pooling is exactly the kind of optimisation that is easy
+   to make unsound -- a pool member that is not a true invariant
+   leaking into a later verdict, or a counterexample valid only for the
+   pool-assisted model.  So the batch is held to the strongest oracle
+   available: every per-property verdict must equal the explicit-state
+   reference AND an independent sequential run, under every method and
+   policy configuration, and every counterexample must replay
+   concretely against its own property. *)
 
 type case = { spec : Spec.t; props : Expr.t list list }
 
@@ -26,8 +25,8 @@ let gen =
   let prop =
     frequency
       [
-        (* a certainly-holding property, so speculative assumptions are
-           sometimes genuinely right *)
+        (* a certainly-holding property, so batches regularly pool a
+           proved property's goods for the properties after it *)
         (1, return [ Expr.T ]);
         (4, list_size (int_range 1 2) (Expr.gen_expr ~nvars:spec.Spec.n_state));
       ]
@@ -56,8 +55,8 @@ let check_items name spec props expected (items : Mc.Batch.item list) =
       | Mc.Report.Violated tr ->
         if e then fail (pname ^ " violated; the reference proves it")
         else
-          (* the trace must be genuine for the untransformed property,
-             on a fresh manager (same levels by construction) *)
+          (* the trace must be genuine for the property alone, on a
+             fresh manager (same levels by construction) *)
           let sub = Spec.build_model { spec with Spec.goods = p } in
           (match Oracle.replay sub tr with
           | Ok () -> go its ps es
@@ -83,22 +82,18 @@ let batch_configs :
     (fun m ->
       ( "batch-" ^ Mc.Runner.name m,
         fun ~limits model props ->
-          Mc.Batch.run ~limits ~meth:m ~speculate:true model props ))
+          Mc.Batch.run ~limits ~meth:m model props ))
     methods
   @ List.map
       (fun (cname, cfg) ->
         ( "batch-xici-" ^ cname,
           fun ~limits model props ->
-            Mc.Batch.run ~limits ~xici_cfg:cfg ~speculate:true model props ))
+            Mc.Batch.run ~limits ~xici_cfg:cfg model props ))
       Oracle.xici_configs
   @ [
-      (* the default: pooled invariants only, no assumption channel *)
-      ( "batch-no-speculation",
-        fun ~limits model props ->
-          Mc.Batch.run ~limits ~speculate:false model props );
       ( "batch-two-domains",
         fun ~limits model props ->
-          Mc.Batch.run ~limits ~domains:2 ~speculate:true model props );
+          Mc.Batch.run ~limits ~domains:2 model props );
     ]
 
 let configs_per_case = List.length batch_configs + 2
@@ -114,7 +109,7 @@ let check_case ?(limits = Oracle.default_limits) { spec; props } =
      of any kind; the batch's verdicts must coincide. *)
   let sequential () =
     let model, bprops = Spec.build_batch spec props in
-    let res = Mc.Batch.run ~limits ~speculate:true model bprops in
+    let res = Mc.Batch.run ~limits model bprops in
     let rec go items props =
       match (items, props) with
       | [], [] -> None

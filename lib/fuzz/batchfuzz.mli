@@ -2,14 +2,14 @@
 
     A case is a random {!Spec} machine plus 2–5 random properties (a
     mix of holding and violated ones arises naturally; a certainly-
-    holding [T] property is mixed in explicitly so speculative
-    assumptions are sometimes genuinely right).  {!check_case} runs the
-    batch under every method and XICI policy configuration — plus
-    no-speculation and two-domain variants — and requires every
-    per-property verdict to equal the explicit-state reference and an
-    independent sequential run, every counterexample to replay
-    concretely against its own untransformed property, and the batch
-    metamorphic properties ({!Metamorph.check_batch}) to hold. *)
+    holding [T] property is mixed in explicitly so batches regularly
+    pool a proved property's goods).  {!check_case} runs the batch
+    under every method and XICI policy configuration — plus a
+    two-domain variant — and requires every per-property verdict to
+    equal the explicit-state reference and an independent sequential
+    run, every counterexample to replay concretely against its own
+    property, and the batch metamorphic properties
+    ({!Metamorph.check_batch}) to hold. *)
 
 type case = { spec : Spec.t; props : Expr.t list list }
 

@@ -205,15 +205,15 @@ let check_telemetry ~limits ~expected spec =
 (* A batch's per-property verdicts are a function of each property
    alone, not of how the batch is assembled: permuting the property
    order, duplicating a property and splitting one batch into two must
-   all preserve every verdict.  These catch order-dependent speculation
-   bugs -- an assumption that leaks into a verdict survives exactly
-   until the assumed property moves to the other side of its user. *)
+   all preserve every verdict.  These catch order-dependence in the
+   invariant pool -- a pooled conjunct that is not a true invariant
+   changes a verdict only for the properties that run after it, so it
+   shows once the transforms move a property to the other side of the
+   one that pooled it. *)
 
 let batch_verdicts ~limits spec props =
   let model, bprops = Spec.build_batch spec props in
-  (* speculation on: the transforms below exist to catch exactly the
-     order-dependence bugs the assumption channel can introduce *)
-  let res = Mc.Batch.run ~limits ~speculate:true model bprops in
+  let res = Mc.Batch.run ~limits model bprops in
   List.map (fun (it : Mc.Batch.item) -> verdict_of it.Mc.Batch.report)
     res.Mc.Batch.items
 

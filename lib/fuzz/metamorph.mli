@@ -35,4 +35,5 @@ val check_batch :
     verdicts must survive permuting the property order, duplicating a
     property and splitting the batch into two independent batches (all
     compared against each property's explicit reference verdict) —
-    the transforms that expose order-dependent speculation bugs. *)
+    the transforms that expose order-dependence in the invariant
+    pool. *)

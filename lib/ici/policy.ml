@@ -243,23 +243,10 @@ let cover_evaluate man xs =
     Clist.of_list man parts
   end
 
-(* A pluggable replacement for the greedy evaluation phase (the
-   parallel pair-scoring layer in Mc plugs in here, without this
-   package depending on it).  Returning [None] declines the list and
-   falls back to the sequential greedy loop.  NOTE: [config] is
-   serialized field-by-field into checkpoints, so the evaluator is a
-   separate argument, not a config field. *)
-type evaluator =
-  Bdd.man ->
-  pair_step_factor:int option ->
-  grow_threshold:float ->
-  Bdd.t list ->
-  Bdd.t list option
-
 (* The full XICI list transformer: simplify, then evaluate.  Each phase
    is a span so traces show where policy time goes; args record the
    list length going in and out. *)
-let improve man ?state ?evaluator cfg xs =
+let improve man ?state cfg xs =
   let tracer = Obs.Tracer.global () in
   let span name n f =
     Obs.Tracer.with_span tracer ~cat:"policy"
@@ -274,19 +261,8 @@ let improve man ?state ?evaluator cfg xs =
   else
     span "policy.evaluate" (List.length xs) (fun () ->
         match cfg.evaluation with
-        | Greedy -> (
-          let delegated =
-            match evaluator with
-            | Some ev ->
-              ev man ~pair_step_factor:cfg.pair_step_factor
-                ~grow_threshold:cfg.grow_threshold xs
-            | None -> None
-          in
-          match delegated with
-          | Some ys -> Clist.of_list man ys
-          | None ->
-            greedy_evaluate man ?state
-              ?pair_step_factor:cfg.pair_step_factor
-              ~grow_threshold:cfg.grow_threshold xs)
+        | Greedy ->
+          greedy_evaluate man ?state ?pair_step_factor:cfg.pair_step_factor
+            ~grow_threshold:cfg.grow_threshold xs
         | Optimal_cover -> cover_evaluate man xs
         | No_evaluation -> xs)

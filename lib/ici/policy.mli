@@ -66,18 +66,6 @@ val cover_evaluate : Bdd.man -> Clist.t -> Clist.t
 (** Theorem-2 baseline: evaluate the exact minimum-cost pairwise cover
     (identity on lists longer than {!Matching.max_exact}). *)
 
-type evaluator =
-  Bdd.man ->
-  pair_step_factor:int option ->
-  grow_threshold:float ->
-  Bdd.t list ->
-  Bdd.t list option
-(** Pluggable replacement for the greedy evaluation phase (e.g. the
-    parallel pair-scoring layer in Mc).  Returning [None] declines and
-    {!improve} falls back to the sequential greedy loop. *)
-
-val improve :
-  Bdd.man -> ?state:state -> ?evaluator:evaluator -> config -> Clist.t -> Clist.t
+val improve : Bdd.man -> ?state:state -> config -> Clist.t -> Clist.t
 (** The full policy: simplify then evaluate.  Preserves the implied
-    conjunction.  [state] persists the greedy pair table across calls;
-    [evaluator] substitutes the Greedy evaluation phase. *)
+    conjunction.  [state] persists the greedy pair table across calls. *)

@@ -1,28 +1,17 @@
-(* Multi-property verification with speculative invariant sharing.
+(* Multi-property verification with a shared invariant pool.
 
-   One model, properties P1..Pn, three sharing channels (see the .mli
-   for the soundness argument):
+   One model, properties P1..Pn, two sharing channels (see the .mli for
+   the soundness argument):
 
    - all runs share the model's manager, so computed-table entries
      (back images above all) carry across properties;
-   - everything established unconditionally -- finally-proved goods and
+   - everything established unconditionally -- proved goods and
      converged XICI conjunctions, which are inductive and implied by
      init no matter what property seeded them -- pools up and reaches
-     later runs as assisting conjuncts;
-   - goods of not-yet-decided properties are speculatively assumed
-     (opt-in): Pi's goods become AS => g, and a Proved under a nonempty
-     AS is only conditional, tracked by the indices its assumptions
-     came from.  Speculation is off by default: the transformed good
-     ¬AS \/ g is a monolithic BDD over every assumed property's
-     variables, so a backward traversal must track all of them at once
-     -- on the example families that costs far more than the
-     assumptions save (fifo-10: ~200s speculative vs ~0.01s pooled).
+     later runs as assisting conjuncts.
 
-   Resolution after the sweep: discharge conditionals whose
-   dependencies all proved; recheck (re-run, no speculation) any
-   conditional with a refuted dependency, or one member of a residual
-   dependency cycle.  Each step finalises a property, so this
-   terminates in at most n rechecks. *)
+   One sweep in the given order; Violated and Exceeded verdicts are
+   final as they come. *)
 
 type property = { pname : string; goods : Bdd.t list }
 
@@ -37,36 +26,8 @@ let of_goods ?(names = []) (model : Model.t) =
       { pname; goods = [ g ] })
     model.Model.good
 
-type item = {
-  prop : property;
-  report : Report.t;
-  speculative : Report.t option;
-  assumed : int list;
-  rechecked : bool;
-}
-
-type stats = {
-  invariants_shared : int;
-  invariants_speculated : int;
-  speculations_refuted : int;
-  rechecks : int;
-}
-
-let zero_stats =
-  {
-    invariants_shared = 0;
-    invariants_speculated = 0;
-    speculations_refuted = 0;
-    rechecks = 0;
-  }
-
-let add_stats a b =
-  {
-    invariants_shared = a.invariants_shared + b.invariants_shared;
-    invariants_speculated = a.invariants_speculated + b.invariants_speculated;
-    speculations_refuted = a.speculations_refuted + b.speculations_refuted;
-    rechecks = a.rechecks + b.rechecks;
-  }
+type item = { prop : property; report : Report.t }
+type stats = { invariants_shared : int }
 
 type result = {
   items : item list;
@@ -75,46 +36,26 @@ type result = {
   wall_time_s : float;
 }
 
-let bump name k =
-  if k > 0 then Obs.Registry.add (Obs.Registry.counter Obs.Registry.default name) k
-
 (* The assisting pool is re-proved by every run it is injected into, so
    an unbounded pool would eventually drown the traversal in conjuncts;
    keep the oldest (most battle-tested) prefix. *)
 let max_pool = 64
 
-type verdict =
-  | Pending
-  | Conditional of Report.t * int list  (* transitive dependency indices *)
-  | Final of Report.t
-
 (* Verify one subset of the batch sequentially on [model]'s manager.
    [props] pairs each property with its index in the caller's original
-   list; dependency tracking uses positions in [props] internally and
-   translates back on the way out. *)
-let run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice ~speculate
-    (model : Model.t) (props : (int * property) array) =
+   list, which is passed through so parallel parts can be merged back
+   into order. *)
+let run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice
+    (model : Model.t) props =
   let man = Model.man model in
-  let n = Array.length props in
-  let shared = ref 0
-  and speculated = ref 0
-  and refuted = ref 0
-  and rechecks = ref 0 in
+  let shared = ref 0 in
   let pool = ref [] in
   let pool_add gs =
     pool := Ici.Clist.of_list man (!pool @ gs);
     if List.length !pool > max_pool then
       pool := List.filteri (fun k _ -> k < max_pool) !pool
   in
-  let harvest = function
-    | Some derived -> pool_add (Ici.Clist.to_list derived)
-    | None -> ()
-  in
-  let status = Array.make n Pending in
-  let speculative = Array.make n None in
-  let assumed = Array.make n [] in
-  let was_rechecked = Array.make n false in
-  let run_one i ~goods =
+  let run_one (idx, prop) =
     let extra = !pool in
     shared := !shared + List.length extra;
     let sub =
@@ -122,7 +63,7 @@ let run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice ~speculate
         ~assisting:(model.Model.assisting @ extra)
         ~fd_candidates:model.Model.fd_candidates ~name:model.Model.name
         ~space:model.Model.space ~trans:model.Model.trans
-        ~init:model.Model.init ~good:goods ()
+        ~init:model.Model.init ~good:prop.goods ()
     in
     let report, derived =
       match meth with
@@ -130,170 +71,38 @@ let run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice ~speculate
         Xici.run_full ?limits ?cfg:xici_cfg ?termination ?var_choice sub
       | m -> (Runner.run ?limits ?xici_cfg ?termination m sub, None)
     in
-    ( Report.relabel report
-        ~method_name:(Runner.name meth ^ "@" ^ (snd props.(i)).pname),
-      derived )
-  in
-  (* First sweep, in the given order. *)
-  for i = 0 to n - 1 do
-    let asm =
-      if not speculate then []
-      else
-        List.concat
-          (List.init n (fun j ->
-               if j = i then []
-               else
-                 match status.(j) with
-                 | Pending -> [ ([ j ], (snd props.(j)).goods) ]
-                 | Conditional (_, deps) when not (List.mem i (j :: deps)) ->
-                   (* assuming a conditionally-proved good inherits its
-                      dependencies; the guard keeps i out of its own
-                      transitive closure *)
-                   [ (j :: deps, (snd props.(j)).goods) ]
-                 | Conditional _ | Final _ -> []))
+    if Report.is_proved report then begin
+      Option.iter (fun d -> pool_add (Ici.Clist.to_list d)) derived;
+      pool_add prop.goods
+    end;
+    let report =
+      Report.relabel report ~method_name:(Runner.name meth ^ "@" ^ prop.pname)
     in
-    let as_bdds = List.concat_map snd asm in
-    let deps = List.sort_uniq compare (List.concat_map fst asm) in
-    speculated := !speculated + List.length as_bdds;
-    assumed.(i) <- deps;
-    let goods =
-      if as_bdds = [] then (snd props.(i)).goods
-      else
-        let nasb = Bdd.bnot man (Bdd.conj man as_bdds) in
-        List.map (fun g -> Bdd.bor man nasb g) (snd props.(i)).goods
-    in
-    let report, derived = run_one i ~goods in
-    match report.Report.status with
-    | Report.Proved ->
-      harvest derived;
-      if deps = [] then begin
-        status.(i) <- Final report;
-        pool_add (snd props.(i)).goods
-      end
-      else status.(i) <- Conditional (report, deps)
-    | Report.Violated _ | Report.Exceeded _ ->
-      (* Genuine even under speculation: the end state violates some
-         AS => g, hence the original g. *)
-      status.(i) <- Final report
-  done;
-  (* Resolve conditional verdicts to a fixpoint. *)
-  let finally_proved j =
-    match status.(j) with Final r -> Report.is_proved r | _ -> false
+    (idx, { prop; report })
   in
-  let finally_decided j =
-    match status.(j) with Final _ -> true | _ -> false
-  in
-  let refuted_deps deps =
-    List.filter (fun j -> finally_decided j && not (finally_proved j)) deps
-  in
-  let recheck i =
-    (match status.(i) with
-    | Conditional (r, _) -> speculative.(i) <- Some r
-    | Pending | Final _ -> ());
-    was_rechecked.(i) <- true;
-    incr rechecks;
-    let report, derived = run_one i ~goods:(snd props.(i)).goods in
-    (match report.Report.status with
-    | Report.Proved ->
-      harvest derived;
-      pool_add (snd props.(i)).goods
-    | Report.Violated _ | Report.Exceeded _ -> ());
-    status.(i) <- Final report
-  in
-  let conditionals () =
-    List.filter
-      (fun i -> match status.(i) with Conditional _ -> true | _ -> false)
-      (List.init n Fun.id)
-  in
-  let rec resolve () =
-    match conditionals () with
-    | [] -> ()
-    | conds ->
-      let dischargeable =
-        List.filter
-          (fun i ->
-            match status.(i) with
-            | Conditional (_, deps) -> List.for_all finally_proved deps
-            | _ -> false)
-          conds
-      in
-      if dischargeable <> [] then begin
-        List.iter
-          (fun i ->
-            match status.(i) with
-            | Conditional (r, _) ->
-              status.(i) <- Final r;
-              pool_add (snd props.(i)).goods
-            | Pending | Final _ -> ())
-          dischargeable;
-        resolve ()
-      end
-      else begin
-        let tainted =
-          List.filter
-            (fun i ->
-              match status.(i) with
-              | Conditional (_, deps) -> refuted_deps deps <> []
-              | _ -> false)
-            conds
-        in
-        let victim =
-          (* no taint and no discharge means every remaining dependency
-             is itself conditional: a cycle.  Recheck its first member;
-             the rerun's unconditional verdict unblocks the rest. *)
-          match tainted with i :: _ -> i | [] -> List.hd conds
-        in
-        (match status.(victim) with
-        | Conditional (_, deps) ->
-          refuted := !refuted + List.length (refuted_deps deps)
-        | Pending | Final _ -> ());
-        recheck victim;
-        resolve ()
-      end
-  in
-  resolve ();
-  bump "batch.invariants_shared" !shared;
-  bump "batch.invariants_speculated" !speculated;
-  bump "batch.speculations_refuted" !refuted;
-  bump "batch.rechecks" !rechecks;
-  let items =
-    List.init n (fun i ->
-        let idx, prop = props.(i) in
-        let report =
-          match status.(i) with
-          | Final r -> r
-          | Pending | Conditional _ -> assert false
-        in
-        ( idx,
-          {
-            prop;
-            report;
-            speculative = speculative.(i);
-            assumed = List.map (fun k -> fst props.(k)) assumed.(i);
-            rechecked = was_rechecked.(i);
-          } ))
-  in
-  ( items,
-    {
-      invariants_shared = !shared;
-      invariants_speculated = !speculated;
-      speculations_refuted = !refuted;
-      rechecks = !rechecks;
-    } )
+  (* List.map applies [run_one] front to back, so the pool grows in
+     the given order. *)
+  let items = List.map run_one props in
+  if !shared > 0 then
+    Obs.Registry.add
+      (Obs.Registry.counter Obs.Registry.default "batch.invariants_shared")
+      !shared;
+  (items, { invariants_shared = !shared })
 
 let run ?limits ?(meth = Runner.Xici) ?xici_cfg ?termination ?var_choice
     ?(speculate = false) ?(domains = 1) (model : Model.t) props =
-  let t0 = Unix.gettimeofday () in
+  if speculate then
+    invalid_arg "Batch.run: ~speculate:true is not supported";
+  let t0 = Monotonic.now () in
   let finish ~domains_used items stats =
-    { items; stats; domains_used; wall_time_s = Unix.gettimeofday () -. t0 }
+    { items; stats; domains_used; wall_time_s = Monotonic.now () -. t0 }
   in
   let n = List.length props in
-  if n = 0 then finish ~domains_used:0 [] zero_stats
+  if n = 0 then finish ~domains_used:0 [] { invariants_shared = 0 }
   else if domains <= 1 || n = 1 then begin
-    let indexed = Array.of_list (List.mapi (fun i p -> (i, p)) props) in
     let items, stats =
-      run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice ~speculate
-        model indexed
+      run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice model
+        (List.mapi (fun i p -> (i, p)) props)
     in
     finish ~domains_used:1 (List.map snd items) stats
   end
@@ -336,11 +145,8 @@ let run ?limits ?(meth = Runner.Xici) ?xici_cfg ?termination ?var_choice
         in
         Array.of_list (split local.Model.good lens names [])
       in
-      let subset =
-        Array.of_list (List.map (fun i -> (i, local_props.(i))) bucket)
-      in
-      run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice ~speculate
-        local subset
+      run_seq ?limits ~meth ?xici_cfg ?termination ?var_choice local
+        (List.map (fun i -> (i, local_props.(i))) bucket)
     in
     (* Re-install the spawning domain's tracer and ambient attributes
        (domain-local state) so batch-worker spans keep their job's
@@ -361,6 +167,11 @@ let run ?limits ?(meth = Runner.Xici) ?xici_cfg ?termination ?var_choice
       |> List.sort (fun (a, _) (b, _) -> compare a b)
       |> List.map snd
     in
-    let stats = List.fold_left add_stats zero_stats (List.map snd parts) in
+    let stats =
+      {
+        invariants_shared =
+          List.fold_left (fun acc (_, s) -> acc + s.invariants_shared) 0 parts;
+      }
+    in
     finish ~domains_used:d items stats
   end

@@ -1,8 +1,7 @@
-(** Multi-property ("batch") verification with speculative invariant
-    sharing.
+(** Multi-property ("batch") verification with a shared invariant pool.
 
     A batch verifies properties [P1..Pn] against one model in a single
-    orchestrated run, instead of [n] independent runs.  Three sharing
+    orchestrated run, instead of [n] independent runs.  Two sharing
     channels make the batch cheaper than its sequential unrolling:
 
     - {b Shared image computations.}  Every property is checked on the
@@ -10,39 +9,21 @@
       entries built by one property's traversal (back images in
       particular) are hits for the next.
     - {b Proven invariants.}  Whatever a property run establishes
-      unconditionally — its own good conjuncts once finally proved, and
-      the converged XICI conjunction ({!Xici.run_full}'s derived
-      invariants, which are inductive and implied by init regardless of
-      what property seeded the traversal) — enters a per-model pool that
+      unconditionally — its own good conjuncts once proved, and the
+      converged XICI conjunction ({!Xici.run_full}'s derived invariants,
+      which are inductive and implied by init regardless of what
+      property seeded the traversal) — enters a per-model pool that
       later runs receive as {!Model.t.assisting} conjuncts.
-    - {b Speculative assumptions} (opt-in).  The goods of properties
-      not yet decided are assumed known ("the benefit of wrong
-      assumptions"): property [Pi]'s goods are transformed to
-      [AS => g] where [AS] is the conjunction of the assumed
-      conjuncts.
 
-    {b Soundness.}  A [Violated] verdict under the transform is always
-    genuine: the counterexample's end state violates some [AS => g], so
-    it satisfies [AS] and violates the original [g] — the trace replays
-    against the untransformed property.  (It cannot instead violate a
-    pooled assisting conjunct, because those are true invariants and the
-    trace only visits reachable states.)  A [Proved] verdict with a
-    nonempty assumption set is only {e conditional}: it is recorded with
-    the set of property indices its assumptions came from.  After the
-    first sweep, conditional verdicts are resolved to a fixpoint:
-    a conditional whose dependencies all ended finally proved is
-    discharged as-is; one with a refuted (violated or exceeded)
-    dependency is tainted and {e rechecked} — re-run with no speculation,
-    proven-pool assisting only — as is one conditional of any residual
-    dependency cycle.  Every resolution step finalises at least one
-    property, so at most [n] rechecks run and every returned verdict is
-    unconditional.
+    {b Soundness.}  Pool members are true invariants of the model, so
+    adding them as assisting conjuncts changes no verdict, and a
+    violation trace only visits reachable states, which satisfy every
+    pool member; each verdict is therefore the one an independent run
+    of that property would return, and its trace replays against the
+    property as given.
 
-    Counters under [batch.*] in {!Obs.Registry.default}:
-    [invariants_shared] (pool conjuncts injected as assisting, summed
-    over runs), [invariants_speculated] (assumed conjuncts, summed over
-    runs), [speculations_refuted] (refuted dependency edges of tainted
-    proofs) and [rechecks]. *)
+    Counter [batch.invariants_shared] in {!Obs.Registry.default}: pool
+    conjuncts injected as assisting, summed over runs. *)
 
 type property = {
   pname : string;
@@ -56,24 +37,10 @@ val of_goods : ?names:string list -> Model.t -> property list
 
 type item = {
   prop : property;
-  report : Report.t;
-      (** the final (unconditional) verdict; violation traces are valid
-          for the untransformed property *)
-  speculative : Report.t option;
-      (** the speculative report this property held before a recheck
-          replaced it; [None] unless [rechecked] *)
-  assumed : int list;
-      (** indices (into the batch's property list) whose goods this
-          property's first run assumed *)
-  rechecked : bool;
+  report : Report.t;  (** violation traces are valid for [prop.goods] *)
 }
 
-type stats = {
-  invariants_shared : int;
-  invariants_speculated : int;
-  speculations_refuted : int;
-  rechecks : int;
-}
+type stats = { invariants_shared : int }
 
 type result = {
   items : item list;  (** in the order the properties were given *)
@@ -95,16 +62,14 @@ val run :
   result
 (** Verify every property against [model] (whose own [good] list is
     ignored in favour of the given properties; its [assisting] conjuncts
-    apply to every run).  [meth] defaults to [Xici] — the only method
-    that harvests derived invariants into the pool; any method still
-    gets assisting injection.  [speculate] (default [false]) enables
-    the assumption channel on top of pool sharing.  It is opt-in
-    because the transformed good [¬AS ∨ g] is one monolithic BDD over
-    every assumed property's variables, so a backward traversal must
-    track all of them at once: on the paper's example families that
-    consistently costs more than the assumptions save (fifo-10 runs
-    ~200s speculative against ~0.01s pooled-only), while pool sharing
-    alone already beats the sequential unrolling.
+    apply to every run), one sweep in the given order.  [meth] defaults
+    to [Xici] — the only method that harvests derived invariants into
+    the pool; any method still gets assisting injection.
+
+    [speculate] exists only so that the benchmark suite's batch job
+    ([perfsuite/jobs.ml]), which passes [~speculate:false], keeps
+    compiling; [false] is the only accepted value and [true] raises
+    [Invalid_argument].  No other caller passes it.
 
     [domains > 1] splits the properties round-robin across that many
     worker domains, each verifying its share on a private thawed copy of

@@ -4,22 +4,15 @@
    unique/computed tables), so parallelism here never shares a manager:
    the model is FROZEN to an immutable string (declarations + one
    Bdd.Serialize block) and each worker domain THAWS its own private
-   copy into a fresh manager.  Two modes:
+   copy into a fresh manager.
 
-   - [portfolio]: run N method/policy configurations concurrently; the
-     first sound verdict (Proved/Violated) wins and the losers are
-     cancelled through the existing fault-hook machinery (they raise
-     [Limits.Exceeded "cancelled by portfolio"], which every method
-     already converts into a clean Exceeded report).  All methods are
-     sound, so whichever config wins the race carries the same verdict
-     a sequential run would have produced.
-
-   - [pair_evaluator]: the Figure-1 greedy conjunction evaluation fans
-     its O(n^2) pairwise scoring out to scratch managers, one candidate
-     list copy per worker per round, and ships only the winning pair's
-     BDD back to the caller's manager.  Plugs into
-     [Ici.Policy.improve]'s [evaluator] hook, so the XICI fixpoint
-     itself stays sequential and deterministic. *)
+   [portfolio] runs N method/policy configurations concurrently; the
+   first sound verdict (Proved/Violated) wins and the losers are
+   cancelled through the existing fault-hook machinery (they raise
+   [Limits.Exceeded "cancelled by portfolio"], which every method
+   already converts into a clean Exceeded report).  All methods are
+   sound, so whichever config wins the race carries the same verdict a
+   sequential run would have produced. *)
 
 exception Corrupt of string
 
@@ -266,9 +259,6 @@ module M = struct
   let portfolio_runs = Obs.Registry.counter reg "parallel.portfolio_runs"
   let cancelled = Obs.Registry.counter reg "parallel.cancelled_configs"
   let crashed = Obs.Registry.counter reg "parallel.crashed_configs"
-  let pair_rounds = Obs.Registry.counter reg "parallel.pair_rounds"
-  let pairs_scored = Obs.Registry.counter reg "parallel.pairs_scored"
-  let pair_merges = Obs.Registry.counter reg "parallel.pair_merges"
 end
 
 (* Join every domain even when one dies: a worker exception must not
@@ -442,118 +432,3 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
     domains_used = k;
     wall_time_s = Monotonic.now () -. t0;
   }
-
-(* --- parallel pair scoring ------------------------------------------- *)
-
-(* Figure 1's O(n^2) pairwise scoring, fanned out: each round freezes
-   the candidate list once, every worker thaws a private copy into a
-   scratch manager and scores its share of the index pairs (pulled from
-   an atomic counter), and only the winning pair's BDD is serialized
-   back into the caller's manager.  Scoring is deterministic -- the
-   merged pair minimises (ratio, i, j) exactly like the sequential
-   loop's first-minimum rule -- so parallel and sequential XICI walk
-   identical fixpoint trajectories.
-
-   Returns [None] (declining, so [Ici.Policy.improve] falls back to the
-   sequential greedy loop) for lists too short to amortise the
-   per-round freeze/thaw. *)
-let pair_evaluator ?(min_conjuncts = 6) ~domains () : Ici.Policy.evaluator =
- fun man ~pair_step_factor ~grow_threshold xs ->
-  if domains < 2 || List.length xs < min_conjuncts then None
-  else begin
-    let nvars = Bdd.num_vars man in
-    let rec round xs =
-      let arr = Array.of_list xs in
-      let n = Array.length arr in
-      if n < 2 then xs
-      else begin
-        Obs.Registry.incr M.pair_rounds;
-        let text = Bdd.Serialize.to_string (Array.to_list arr) in
-        let npairs = n * (n - 1) / 2 in
-        let pairs = Array.make npairs (0, 0) in
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            pairs.(!k) <- (i, j);
-            incr k
-          done
-        done;
-        let next = Atomic.make 0 in
-        let bests = Array.make (min domains npairs) None in
-        let worker slot () =
-          let sman = Bdd.create () in
-          for _ = 1 to nvars do
-            ignore (Bdd.new_var sman)
-          done;
-          let local = Array.of_list (Bdd.Serialize.of_string sman text) in
-          let best = ref None in
-          let rec score () =
-            let idx = Atomic.fetch_and_add next 1 in
-            if idx < npairs then begin
-              let i, j = pairs.(idx) in
-              let a = local.(i) and b = local.(j) in
-              Obs.Registry.incr M.pairs_scored;
-              let p =
-                match pair_step_factor with
-                | None -> Some (Bdd.band sman a b)
-                | Some factor ->
-                  let max_steps = (factor * Bdd.size_list [ a; b ]) + 1024 in
-                  Bdd.band_bounded sman ~max_steps a b
-              in
-              (match p with
-              | None -> ()
-              | Some p ->
-                let ratio =
-                  float_of_int (Bdd.size p)
-                  /. float_of_int (Bdd.size_list [ a; b ])
-                in
-                let better =
-                  match !best with
-                  | Some (r, bi, bj, _) -> (ratio, i, j) < (r, bi, bj)
-                  | None -> true
-                in
-                if better then best := Some (ratio, i, j, p));
-              score ()
-            end
-          in
-          score ();
-          bests.(slot) <-
-            Option.map
-              (fun (r, i, j, p) -> (r, i, j, Bdd.Serialize.to_string [ p ]))
-              !best
-        in
-        let spawned =
-          List.init
-            (Array.length bests)
-            (fun slot ->
-              Domain.spawn (fun () ->
-                  try Ok (worker slot ()) with e -> Error e))
-        in
-        join_all spawned;
-        let best =
-          Array.fold_left
-            (fun acc b ->
-              match (acc, b) with
-              | None, b -> b
-              | acc, None -> acc
-              | Some (r1, i1, j1, _), Some (r2, i2, j2, _) ->
-                if (r1, i1, j1) <= (r2, i2, j2) then acc else b)
-            None bests
-        in
-        match best with
-        | Some (ratio, i, j, winner_text) when ratio <= grow_threshold ->
-          Obs.Registry.incr M.pair_merges;
-          let p =
-            match Bdd.Serialize.of_string man winner_text with
-            | [ p ] -> p
-            | _ -> fail "pair_evaluator: bad winner transfer"
-          in
-          let rest =
-            List.filteri (fun k _ -> k <> i && k <> j) (Array.to_list arr)
-          in
-          round (Ici.Clist.of_list man (p :: rest))
-        | Some _ | None -> xs
-      end
-    in
-    Some (round (Ici.Clist.of_list man xs))
-  end

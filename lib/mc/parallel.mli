@@ -104,17 +104,3 @@ val portfolio :
     the reporting worker's live-node count (a heartbeat);
     [iter_sink] receives every per-iteration {!Obs.Iterlog} row the
     workers record. *)
-
-(** {1 Parallel pair scoring} *)
-
-val pair_evaluator :
-  ?min_conjuncts:int -> domains:int -> unit -> Ici.Policy.evaluator
-(** An {!Ici.Policy.evaluator} that fans the Figure-1 O(n^2) pairwise
-    scoring out to [domains] scratch-manager workers per merge round,
-    transferring only the winning pair's BDD back.  Deterministic: the
-    merged pair minimises (ratio, i, j) exactly like the sequential
-    first-minimum rule, so the fixpoint trajectory is unchanged.
-    Declines lists shorter than [min_conjuncts] (default 6) -- the
-    freeze/thaw overhead needs a quadratic's worth of pairs to pay off
-    -- letting {!Ici.Policy.improve} fall back to the sequential
-    loop. *)

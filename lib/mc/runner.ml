@@ -31,8 +31,8 @@ let of_name s =
 
 (* The checkpoint/resume options only apply to XICI (the only method
    with serializable fixpoint state); other methods ignore them, as
-   they do the XICI-only [var_choice]/[evaluator] knobs. *)
-let run ?limits ?xici_cfg ?termination ?var_choice ?evaluator
+   they do the XICI-only [var_choice] knob. *)
+let run ?limits ?xici_cfg ?termination ?var_choice
     ?checkpoint_path ?checkpoint_every ?resume_from meth model =
   match meth with
   | Forward -> Forward.run ?limits model
@@ -40,7 +40,7 @@ let run ?limits ?xici_cfg ?termination ?var_choice ?evaluator
   | Fd -> Fd.run ?limits model
   | Ici -> Ici_method.run ?limits model
   | Xici ->
-    Xici.run ?limits ?cfg:xici_cfg ?termination ?var_choice ?evaluator
+    Xici.run ?limits ?cfg:xici_cfg ?termination ?var_choice
       ?checkpoint_path ?checkpoint_every ?resume_from model
   | Idi -> Forward_idi.run ?limits ?cfg:xici_cfg model
   | Explicit -> Explicit.run ?limits model

@@ -17,7 +17,6 @@ val run :
   ?xici_cfg:Ici.Policy.config ->
   ?termination:Xici.termination ->
   ?var_choice:Ici.Tautology.var_choice ->
-  ?evaluator:Ici.Policy.evaluator ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   ?resume_from:Checkpoint.t ->
@@ -26,4 +25,4 @@ val run :
   Report.t
 (** The checkpoint/resume options apply to [Xici] only (the only method
     with serializable fixpoint state); other methods ignore them, as
-    they do the XICI-only [var_choice] and [evaluator] knobs. *)
+    they do the XICI-only [var_choice] knob. *)

@@ -30,7 +30,7 @@ let lists_pointwise_equal a b =
    [termination] default to the checkpointed values so the continued
    run uses the policy that produced the snapshot. *)
 let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
-    ?(var_choice = Ici.Tautology.First_top) ?tautology_stats ?evaluator
+    ?(var_choice = Ici.Tautology.First_top) ?tautology_stats
     ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
   let cfg =
     match (cfg, resume_from) with
@@ -69,7 +69,7 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
      across every termination test of the run. *)
   let policy_state = Ici.Policy.create_state () in
   let taut_memo = Ici.Tautology.create_memo () in
-  let improve l = Ici.Policy.improve man ~state:policy_state ?evaluator cfg l in
+  let improve l = Ici.Policy.improve man ~state:policy_state cfg l in
   let converged l l' =
     match termination with
     | `Pointwise -> lists_pointwise_equal l l'
@@ -180,8 +180,8 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
       (report, !final)
     with Limits.Exceeded why -> (finish (Report.Exceeded why), None))
 
-let run ?limits ?cfg ?termination ?var_choice ?tautology_stats ?evaluator
+let run ?limits ?cfg ?termination ?var_choice ?tautology_stats
     ?checkpoint_path ?checkpoint_every ?resume_from model =
   fst
     (run_full ?limits ?cfg ?termination ?var_choice ?tautology_stats
-       ?evaluator ?checkpoint_path ?checkpoint_every ?resume_from model)
+       ?checkpoint_path ?checkpoint_every ?resume_from model)

@@ -19,7 +19,6 @@ val run :
   ?termination:termination ->
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
-  ?evaluator:Ici.Policy.evaluator ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   ?resume_from:Checkpoint.t ->
@@ -32,7 +31,6 @@ val run_full :
   ?termination:termination ->
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
-  ?evaluator:Ici.Policy.evaluator ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   ?resume_from:Checkpoint.t ->

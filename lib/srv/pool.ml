@@ -561,8 +561,8 @@ let run_job t slot (job : job) ~attempt =
                keeping the run on [man] is what lets the fault hook
                cancel it).  The aggregate report carries the verdict;
                the per-property detail rides the [Batch_finished]
-               event.  A retry re-runs the whole batch: speculation
-               state is per-run, so there is nothing to resume. *)
+               event.  A retry re-runs the whole batch: the invariant
+               pool is per-run, so there is nothing to resume. *)
             try
               let props = Mc.Batch.of_goods model in
               let res = Mc.Batch.run ~limits ?xici_cfg ~meth model props in

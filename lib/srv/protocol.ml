@@ -122,7 +122,7 @@ let result ~id ~trace_id ?trace ~queue_s ~e2e_s ~worker ~resumed_at
 
 (* A batch job's terminal event keeps the ["result"] shape (clients
    that only read ["verdict"] keep working) and adds the per-property
-   verdict array plus the sharing counters. *)
+   verdict array plus the pool-sharing counter. *)
 let batch_result ~id ~trace_id ?trace ~queue_s ~e2e_s ~worker
     (res : Mc.Batch.result) (report : Mc.Report.t) =
   let item (it : Mc.Batch.item) =
@@ -131,13 +131,8 @@ let batch_result ~id ~trace_id ?trace ~queue_s ~e2e_s ~worker
         ("name", Obs.Json.String it.Mc.Batch.prop.Mc.Batch.pname);
         ( "verdict",
           Obs.Json.String (Mc.Report.status_string it.Mc.Batch.report) );
-        ("rechecked", Obs.Json.Bool it.Mc.Batch.rechecked);
-        ( "assumed",
-          Obs.Json.List (List.map (fun i -> Obs.Json.Int i) it.Mc.Batch.assumed)
-        );
       ]
   in
-  let s = res.Mc.Batch.stats in
   ev "result"
     ([
       ("id", Obs.Json.String id);
@@ -147,12 +142,8 @@ let batch_result ~id ~trace_id ?trace ~queue_s ~e2e_s ~worker
       ( "batch_stats",
         Obs.Json.Obj
           [
-            ("invariants_shared", Obs.Json.Int s.Mc.Batch.invariants_shared);
-            ( "invariants_speculated",
-              Obs.Json.Int s.Mc.Batch.invariants_speculated );
-            ( "speculations_refuted",
-              Obs.Json.Int s.Mc.Batch.speculations_refuted );
-            ("rechecks", Obs.Json.Int s.Mc.Batch.rechecks);
+            ( "invariants_shared",
+              Obs.Json.Int res.Mc.Batch.stats.Mc.Batch.invariants_shared );
           ] );
       ("worker", Obs.Json.Int worker);
     ]

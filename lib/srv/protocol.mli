@@ -71,9 +71,9 @@ val batch_result :
   Obs.Json.t
 (** Terminal verdict for a batch job.  Same ["result"] event shape —
     ["verdict"]/["report"] are the aggregate that stands for the whole
-    batch — plus a ["batch"] array of per-property
-    name/verdict/rechecked/assumed objects and the sharing counters
-    under ["batch_stats"]. *)
+    batch — plus a ["batch"] array of per-property name/verdict objects
+    and the pool-sharing counter [invariants_shared] under
+    ["batch_stats"]. *)
 
 val pong : Obs.Json.t
 val draining : Obs.Json.t

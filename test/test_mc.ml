@@ -311,14 +311,20 @@ let test_collapse_counterexample () =
 (* --- batch verification ----------------------------------------------- *)
 
 (* Counter with one good conjunct per limit, so [Mc.Batch.of_goods]
-   yields one property per limit. *)
-let multi_counter_model limits_list =
+   yields one property per limit.  With [saturate = s] the counter stops
+   at [s], so limits [>= s] hold without being tautologies. *)
+let multi_counter_model ?saturate limits_list =
   let sp = Fsm.Space.create () in
   let w = Fsm.Space.state_word ~name:"c" sp ~width:2 in
   let tick = Fsm.Space.input_bit ~name:"tick" sp in
   let man = Fsm.Space.man sp in
   let c = Fsm.Space.cur_vec sp w in
   let t = Bdd.var man tick in
+  let t =
+    match saturate with
+    | None -> t
+    | Some s -> Bdd.band man t (Bvec.ule_const man c (s - 1))
+  in
   let inc = Bvec.add man c (Bvec.const man ~width:2 1) in
   let nextv = Bvec.mux man t inc c in
   let assigns = [ (w.(0), nextv.(0)); (w.(1), nextv.(1)) ] in
@@ -329,9 +335,9 @@ let multi_counter_model limits_list =
 
 let batch_item_replays model (it : Mc.Batch.item) =
   (* Validate each counterexample against a model holding only that
-     property's goods: batch traces must be genuine for the original,
-     untransformed property, realisable step by step through
-     [Fsm.Trans.step]. *)
+     property's goods: batch traces must be genuine for the property as
+     given (not for the pool-assisted model it ran on), realisable step
+     by step through [Fsm.Trans.step]. *)
   match it.Mc.Batch.report.Mc.Report.status with
   | Mc.Report.Violated tr ->
     let sub =
@@ -344,68 +350,10 @@ let batch_item_replays model (it : Mc.Batch.item) =
     | Error _ -> false)
   | Mc.Report.Proved | Mc.Report.Exceeded _ -> true
 
-let test_batch_recheck_flip () =
-  (* p0 = c<=2 runs first and speculatively assumes p1 = c<=1, making
-     its transformed good (c<=1 => c<=2) a tautology: p0 proves
-     conditionally.  p1 is then refuted (c reaches 2), which taints p0;
-     the recheck must flip p0's verdict to its true Violated. *)
-  let model = multi_counter_model [ 2; 1 ] in
-  let props = Mc.Batch.of_goods model in
-  let res = Mc.Batch.run ~limits ~speculate:true model props in
-  let p0 = List.nth res.Mc.Batch.items 0
-  and p1 = List.nth res.Mc.Batch.items 1 in
-  Alcotest.(check bool) "p0 was rechecked" true p0.Mc.Batch.rechecked;
-  Alcotest.(check (list int)) "p0 assumed p1" [ 1 ] p0.Mc.Batch.assumed;
-  (match p0.Mc.Batch.speculative with
-  | Some r ->
-    Alcotest.(check bool) "speculative verdict was Proved" true
-      (Mc.Report.is_proved r)
-  | None -> Alcotest.fail "p0 should retain its speculative report");
-  (match p0.Mc.Batch.report.Mc.Report.status with
-  | Mc.Report.Violated tr ->
-    Alcotest.(check int) "p0 flips to its true shortest violation" 4
-      (List.length tr)
-  | Mc.Report.Proved | Mc.Report.Exceeded _ ->
-    Alcotest.fail "recheck should flip p0 to Violated");
-  Alcotest.(check bool) "p1 refuted without recheck" false
-    p1.Mc.Batch.rechecked;
-  Alcotest.(check bool) "p1 is Violated" false
-    (Mc.Report.is_proved p1.Mc.Batch.report);
-  Alcotest.(check bool) "at least one recheck counted" true
-    (res.Mc.Batch.stats.Mc.Batch.rechecks >= 1);
-  Alcotest.(check bool) "refuted speculation counted" true
-    (res.Mc.Batch.stats.Mc.Batch.speculations_refuted >= 1);
-  List.iter
-    (fun it ->
-      Alcotest.(check bool)
-        (it.Mc.Batch.prop.Mc.Batch.pname ^ " trace replays concretely")
-        true (batch_item_replays model it))
-    res.Mc.Batch.items
-
-let test_batch_discharge () =
-  (* Both properties hold: the first proves conditionally on the
-     second, whose unconditional proof then discharges it -- no recheck
-     may run. *)
-  let model = multi_counter_model [ 3; 3 ] in
-  let res =
-    Mc.Batch.run ~limits ~speculate:true model (Mc.Batch.of_goods model)
-  in
-  List.iter
-    (fun it ->
-      Alcotest.(check bool)
-        (it.Mc.Batch.prop.Mc.Batch.pname ^ " proved")
-        true
-        (Mc.Report.is_proved it.Mc.Batch.report);
-      Alcotest.(check bool)
-        (it.Mc.Batch.prop.Mc.Batch.pname ^ " not rechecked")
-        false it.Mc.Batch.rechecked)
-    res.Mc.Batch.items;
-  Alcotest.(check int) "no rechecks" 0 res.Mc.Batch.stats.Mc.Batch.rechecks
-
 let batch_matches_sequential ?(domains = 1) meth limits_list =
   let model = multi_counter_model limits_list in
   let props = Mc.Batch.of_goods model in
-  let res = Mc.Batch.run ~limits ~meth ~domains ~speculate:true model props in
+  let res = Mc.Batch.run ~limits ~meth ~domains model props in
   List.iteri
     (fun i (it : Mc.Batch.item) ->
       let sub =
@@ -433,12 +381,90 @@ let test_batch_matches_sequential_all_methods () =
 
 let test_batch_parallel_domains () =
   let model = multi_counter_model [ 3; 1; 2; 3 ] in
-  let res =
-    Mc.Batch.run ~limits ~domains:2 ~speculate:true model
-      (Mc.Batch.of_goods model)
-  in
+  let res = Mc.Batch.run ~limits ~domains:2 model (Mc.Batch.of_goods model) in
   Alcotest.(check int) "two domains used" 2 res.Mc.Batch.domains_used;
   batch_matches_sequential ~domains:2 Mc.Runner.Xici [ 3; 1; 2; 3 ]
+
+let test_batch_shortest_violations () =
+  (* Violated verdicts are final in the sweep: each property keeps the
+     shortest violation of its own goods, and nothing is pooled. *)
+  let model = multi_counter_model [ 2; 1 ] in
+  let res = Mc.Batch.run ~limits model (Mc.Batch.of_goods model) in
+  List.iter2
+    (fun (it : Mc.Batch.item) len ->
+      let name = it.Mc.Batch.prop.Mc.Batch.pname in
+      (match it.Mc.Batch.report.Mc.Report.status with
+      | Mc.Report.Violated tr ->
+        Alcotest.(check int) (name ^ " shortest violation") len
+          (List.length tr)
+      | Mc.Report.Proved | Mc.Report.Exceeded _ ->
+        Alcotest.fail (name ^ " should be Violated"));
+      Alcotest.(check bool) (name ^ " trace replays concretely") true
+        (batch_item_replays model it))
+    res.Mc.Batch.items [ 4; 3 ];
+  Alcotest.(check int) "violated properties are not pooled" 0
+    res.Mc.Batch.stats.Mc.Batch.invariants_shared
+
+let test_batch_pools_proved_goods () =
+  (* The counter saturates at 2, so c<=2 holds and c<=1 fails.  A proved
+     property feeds the pool of every later run; a violated one does
+     not. *)
+  let shared limits_list =
+    let model = multi_counter_model ~saturate:2 limits_list in
+    let res = Mc.Batch.run ~limits model (Mc.Batch.of_goods model) in
+    ( List.map
+        (fun (it : Mc.Batch.item) ->
+          Mc.Report.status_string it.Mc.Batch.report)
+        res.Mc.Batch.items,
+      res.Mc.Batch.stats.Mc.Batch.invariants_shared )
+  in
+  let verdicts, n = shared [ 2; 1 ] in
+  Alcotest.(check bool) "first property proved" true
+    (List.hd verdicts = "proved");
+  Alcotest.(check bool) "proved goods reach the later run" true (n >= 1);
+  let verdicts, n = shared [ 1; 2 ] in
+  Alcotest.(check bool) "second property proved" true
+    (List.nth verdicts 1 = "proved");
+  Alcotest.(check int) "a violated property adds nothing to the pool" 0 n
+
+let test_batch_rejects_speculate () =
+  let model = multi_counter_model [ 3; 1 ] in
+  let props = Mc.Batch.of_goods model in
+  Alcotest.(check bool) "~speculate:true raises Invalid_argument" true
+    (match Mc.Batch.run ~limits ~speculate:true model props with
+    | (_ : Mc.Batch.result) -> false
+    | exception Invalid_argument _ -> true);
+  let verdicts res =
+    List.map
+      (fun (it : Mc.Batch.item) -> Mc.Report.status_string it.Mc.Batch.report)
+      res.Mc.Batch.items
+  in
+  Alcotest.(check (list string)) "~speculate:false is the default run"
+    (verdicts (Mc.Batch.run ~limits model props))
+    (verdicts (Mc.Batch.run ~limits ~speculate:false model props))
+
+let prop_batch_agreement spec =
+  (* Every conjunct of a random machine's property verified as its own
+     property: all must prove exactly when the explicit-state reference
+     says the conjunction holds, and every trace must replay. *)
+  let model = Testmachines.build_model spec in
+  let res = Mc.Batch.run ~limits model (Mc.Batch.of_goods model) in
+  let decided =
+    List.for_all
+      (fun (it : Mc.Batch.item) ->
+        match it.Mc.Batch.report.Mc.Report.status with
+        | Mc.Report.Exceeded _ -> false
+        | Mc.Report.Proved | Mc.Report.Violated _ -> true)
+      res.Mc.Batch.items
+  in
+  let all_proved =
+    List.for_all
+      (fun (it : Mc.Batch.item) -> Mc.Report.is_proved it.Mc.Batch.report)
+      res.Mc.Batch.items
+  in
+  decided
+  && all_proved = Testmachines.reference_verdict spec
+  && List.for_all (batch_item_replays model) res.Mc.Batch.items
 
 (* --- freeze / thaw ---------------------------------------------------- *)
 
@@ -545,32 +571,6 @@ let test_portfolio_external_cancel () =
         (not (Mc.Parallel.decided r)))
     res.Mc.Parallel.reports
 
-(* --- parallel pair scoring -------------------------------------------- *)
-
-let test_pair_evaluator_equivalence () =
-  (* The parallel evaluator's lex-min (ratio, i, j) rule matches the
-     sequential first-minimum rule, so the whole fixpoint trajectory --
-     not just the verdict -- must be identical. *)
-  List.iter
-    (fun good_limit ->
-      let seq = Mc.Runner.run ~limits Mc.Runner.Xici (counter_model ~good_limit) in
-      let evaluator = Mc.Parallel.pair_evaluator ~min_conjuncts:2 ~domains:2 () in
-      let par =
-        Mc.Runner.run ~limits ~evaluator Mc.Runner.Xici
-          (counter_model ~good_limit)
-      in
-      Alcotest.(check string) "same verdict" (Mc.Report.status_string seq)
-        (Mc.Report.status_string par);
-      Alcotest.(check int) "same iteration count" seq.Mc.Report.iterations
-        par.Mc.Report.iterations)
-    [ 2; 3 ]
-
-let prop_pair_evaluator_agreement spec =
-  let model = Testmachines.build_model spec in
-  let evaluator = Mc.Parallel.pair_evaluator ~min_conjuncts:2 ~domains:2 () in
-  let report = Mc.Runner.run ~limits ~evaluator Mc.Runner.Xici model in
-  verdict_matches spec report && trace_valid model report
-
 let test_validate_rejects_bogus () =
   let model = counter_model ~good_limit:2 in
   let man = Mc.Model.man model in
@@ -606,14 +606,18 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "refuted speculation forces a recheck flip"
-            `Quick test_batch_recheck_flip;
-          Alcotest.test_case "conditional proofs discharge without recheck"
-            `Quick test_batch_discharge;
           Alcotest.test_case "batch matches sequential for every method"
             `Quick test_batch_matches_sequential_all_methods;
           Alcotest.test_case "parallel batch matches sequential" `Quick
             test_batch_parallel_domains;
+          Alcotest.test_case "violations are final and not pooled" `Quick
+            test_batch_shortest_violations;
+          Alcotest.test_case "proved goods are pooled for later runs" `Quick
+            test_batch_pools_proved_goods;
+          Alcotest.test_case "speculation is rejected" `Quick
+            test_batch_rejects_speculate;
+          qtest ~count:20 "pooled batch agrees with explicit-state reference"
+            prop_batch_agreement;
         ] );
       ( "parallel",
         [
@@ -627,12 +631,8 @@ let () =
             test_portfolio_liveness_hooks;
           Alcotest.test_case "portfolio external cancel" `Quick
             test_portfolio_external_cancel;
-          Alcotest.test_case "pair evaluator preserves the trajectory" `Quick
-            test_pair_evaluator_equivalence;
           qtest ~count:20 "portfolio agrees with explicit-state reference"
             prop_portfolio_agreement;
-          qtest ~count:20 "parallel pair scoring agrees with reference"
-            prop_pair_evaluator_agreement;
         ] );
       ( "agreement with explicit-state reference",
         [

@@ -451,8 +451,8 @@ let test_daemon_manager_reuse () =
 let test_daemon_batch_job () =
   (* A batch:true job verifies each conjunct of the model's property
      as its own property; the single result event carries the
-     aggregate verdict plus a per-property array and the sharing
-     counters. *)
+     aggregate verdict plus a per-property array and the pool-sharing
+     counter. *)
   let jobs =
     [
       {|{"id":"batch-net","model":{"family":"network","procs":3},"batch":true}|};
@@ -474,6 +474,23 @@ let test_daemon_batch_job () =
       (fun it -> Option.value ~default:"?" (ev_str "verdict" it))
       (batch_items r)
   in
+  let keys = function
+    | Obs.Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  (* The batch fields carry exactly what the pooled batch computes. *)
+  let check_shape r =
+    List.iter
+      (fun it ->
+        Alcotest.(check (list string)) "item fields" [ "name"; "verdict" ]
+          (keys it))
+      (batch_items r);
+    match Obs.Json.member "batch_stats" r with
+    | Some stats ->
+      Alcotest.(check (list string)) "batch_stats fields"
+        [ "invariants_shared" ] (keys stats)
+    | None -> Alcotest.fail "result carries no batch_stats"
+  in
   (match find_result "batch-net" events with
   | None -> Alcotest.fail "no result for batch-net"
   | Some r ->
@@ -489,11 +506,11 @@ let test_daemon_batch_job () =
     List.iter
       (fun v -> Alcotest.(check string) "every property proved" "proved" v)
       (item_verdicts r);
-    Alcotest.(check bool) "sharing counters present" true
-      (Obs.Json.member "batch_stats" r <> None));
+    check_shape r);
   match find_result "batch-bug" events with
   | None -> Alcotest.fail "no result for batch-bug"
   | Some r ->
+    check_shape r;
     Alcotest.(check bool) "aggregate violated" true
       (match ev_str "verdict" r with
       | Some v -> contains ~sub:"violated" v
