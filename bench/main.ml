@@ -907,7 +907,6 @@ let bench_daemon _budgets ~domains ~quick =
         socket_path = Some sock;
         workers = max 2 domains;
         queue_capacity = 4096;
-        tick_s = 0.01;
       }
       (fun () ->
         let t0 = Unix.gettimeofday () in
@@ -961,7 +960,6 @@ let bench_daemon _budgets ~domains ~quick =
         workers = 1;
         queue_capacity = 4;
         default_deadline_s = Some 60.0;
-        tick_s = 0.01;
       }
       (fun () ->
         let burst = 12 in

@@ -217,8 +217,7 @@ let run connect socket stdio workers queue_capacity checkpoint_dir trace_dir
     end;
     let cfg =
       {
-        Srv.Daemon.default_config with
-        socket_path = socket;
+        Srv.Daemon.socket_path = socket;
         stdio;
         workers;
         queue_capacity;

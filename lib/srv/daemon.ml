@@ -2,7 +2,10 @@
 
    Single-threaded select() loop owning all I/O and supervision; the
    only other threads are the pool's worker domains, reached through
-   the admission queue (in) and the event queue (out).  Requests are
+   the admission queue (in) and the event queue (out).  The pool's
+   self-pipe sits in the select read set, so a worker's event (or
+   crash) wakes the loop at once; without one the select sleeps until
+   the next supervision period or watch frame is due.  Requests are
    newline-JSON (see {!Protocol}); transport is a Unix-domain socket,
    or stdin/stdout in [stdio] mode so tests and CI can drive the real
    loop through a pipe.
@@ -30,7 +33,6 @@ type config = {
   max_total_live : int option;
   max_attempts : int;
   portfolio_domains : int;
-  tick_s : float;
 }
 
 let default_config =
@@ -46,8 +48,12 @@ let default_config =
     max_total_live = None;
     max_attempts = 2;
     portfolio_domains = 2;
-    tick_s = 0.05;
   }
+
+(* The longest the loop sleeps without a pool event: bounds how late a
+   hang is noticed past its timeout, and how late a drain flag set
+   outside select (a signal between passes) is seen. *)
+let supervise_period_s = 0.1
 
 type client = {
   cid : int;
@@ -57,6 +63,11 @@ type client = {
   outbuf : Buffer.t;
       (* pending outgoing lines, flushed through the select write set:
          a client that stops reading must never block the loop *)
+  mutable queued : int;  (* bytes ever appended to [outbuf] *)
+  mutable written : int;  (* bytes ever written from it *)
+  results : (int * float) Queue.t;
+      (* end offset (in [queued] terms) and routing time of each
+         buffered result line, for srv.flush_ms *)
   mutable alive : bool;
   mutable in_open : bool;
       (* stdio only: EOF on stdin closes the request side while events
@@ -77,9 +88,16 @@ type state = {
   started_at : float;  (* monotonic, for uptime_s in health *)
   mutable next_cid : int;
   mutable next_seq : int;  (* distinct checkpoint path per admission *)
-  mutable completions : float list;  (* for the jobs/sec window *)
+  completions : float Queue.t;
+      (* completion times, oldest first, trimmed to the jobs/sec
+         window *)
+  rbuf : Bytes.t;  (* one read buffer for every client *)
   jps_gauge : Obs.Registry.gauge;
   rejections : Obs.Registry.counter;
+  route_ms : Obs.Registry.histogram;
+      (* terminal event: worker emit to result line buffered *)
+  flush_ms : Obs.Registry.histogram;
+      (* result line buffered to result line fully written *)
 }
 
 let jps_window_s = 10.0
@@ -99,7 +117,9 @@ let max_outbuf = 8 * 1024 * 1024
 
 let send_line (c : client) json =
   if c.alive then begin
-    Buffer.add_string c.outbuf (Protocol.to_line json);
+    let line = Protocol.to_line json in
+    Buffer.add_string c.outbuf line;
+    c.queued <- c.queued + String.length line;
     if c.cid <> 0 && Buffer.length c.outbuf > max_outbuf then begin
       c.alive <- false;
       Mc.Log.degraded ~what:"client"
@@ -113,6 +133,18 @@ let send_to st cid json =
   match Hashtbl.find_opt st.clients cid with
   | Some c -> send_line c json
   | None -> ()  (* client went away; its verdicts are dropped *)
+
+(* A job's terminal line: buffered like any other, and marked with the
+   time it was routed so the flush that completes it can time the
+   write.  Returns the routing time. *)
+let send_result st cid json =
+  match Hashtbl.find_opt st.clients cid with
+  | Some c ->
+    send_line c json;
+    let routed = Mc.Monotonic.now () in
+    if c.alive then Queue.push (c.queued, routed) c.results;
+    routed
+  | None -> Mc.Monotonic.now ()
 
 let drop_client st (c : client) =
   c.alive <- false;
@@ -133,7 +165,19 @@ let flush_client st (c : client) =
     match Unix.write_substring c.out data 0 chunk with
     | n ->
       Buffer.clear c.outbuf;
-      if n < len then Buffer.add_substring c.outbuf data n (len - n)
+      if n < len then Buffer.add_substring c.outbuf data n (len - n);
+      c.written <- c.written + n;
+      if not (Queue.is_empty c.results) then begin
+        let now = Mc.Monotonic.now () in
+        while
+          (not (Queue.is_empty c.results))
+          && fst (Queue.peek c.results) <= c.written
+        do
+          let _, routed = Queue.pop c.results in
+          Obs.Registry.observe st.flush_ms
+            (int_of_float ((now -. routed) *. 1e3))
+        done
+      end
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
@@ -155,9 +199,13 @@ let reap_dead st =
 
 let jobs_per_s st =
   let now = Mc.Monotonic.now () in
-  let live = List.filter (fun ts -> now -. ts <= jps_window_s) st.completions in
-  st.completions <- live;
-  float_of_int (List.length live) /. jps_window_s
+  while
+    (not (Queue.is_empty st.completions))
+    && now -. Queue.peek st.completions > jps_window_s
+  do
+    ignore (Queue.pop st.completions)
+  done;
+  float_of_int (Queue.length st.completions) /. jps_window_s
 
 let reject st c ~id ~reason =
   Obs.Registry.incr st.rejections;
@@ -216,8 +264,8 @@ let handle_submit st (c : client) (spec : Jobspec.t) =
           Some (Filename.concat dir (Printf.sprintf "trace-%s.jsonl" trace_id))
       in
       let job =
-        Pool.job ~spec ~frozen ~client:c.cid ~trace_id ?trace_path ~deadline_at
-          ~checkpoint_path ()
+        Pool.job ~spec ~model_key:key ~frozen ~client:c.cid ~trace_id
+          ?trace_path ~deadline_at ~checkpoint_path ()
       in
       (match Pool.submit st.pool job with
       | Ok depth ->
@@ -235,7 +283,9 @@ let send_stats st c =
        ~pressure:(Pool.pressure st.pool)
        ~jobs_done:(Pool.jobs_done st.pool)
        ~jobs_per_s:(jobs_per_s st)
-       ~latency:(Pool.latency st.pool))
+       ~latency:
+         (Pool.latency st.pool
+         @ List.map Pool.latency_row [ st.route_ms; st.flush_ms ]))
 
 let send_health st c =
   send_line c
@@ -344,8 +394,7 @@ let consume_buffer st c =
      raise e)
 
 let read_client st c =
-  let bytes = Bytes.create 65536 in
-  match Unix.read c.fd bytes 0 (Bytes.length bytes) with
+  match Unix.read c.fd st.rbuf 0 (Bytes.length st.rbuf) with
   | 0 ->
     (* EOF.  In stdio mode the input stream *is* the job source, so
        EOF means "no more work": start draining, but keep the output
@@ -356,7 +405,7 @@ let read_client st c =
     end
     else drop_client st c
   | n ->
-    Buffer.add_subbytes c.buf bytes 0 n;
+    Buffer.add_subbytes c.buf st.rbuf 0 n;
     consume_buffer st c
   | exception
       Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
@@ -381,7 +430,21 @@ let job_timing (job : Pool.job) =
   in
   (queue_s, Float.max 0.0 (now -. job.Pool.submitted_at))
 
-let route_event st = function
+(* A terminal event closes its job: record the completion for the
+   jobs/sec window (the loop refreshes the gauge), delete the
+   checkpoint, send the result line and time the hop from the worker's
+   emit to here. *)
+let complete st (job : Pool.job) ~emitted_at result =
+  Queue.push (Mc.Monotonic.now ()) st.completions;
+  (match job.Pool.checkpoint_path with
+  | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
+  | _ -> ());
+  let queue_s, e2e_s = job_timing job in
+  let routed = send_result st job.Pool.client (result ~queue_s ~e2e_s) in
+  Obs.Registry.observe st.route_ms (int_of_float ((routed -. emitted_at) *. 1e3))
+
+let route_event st (emitted_at, event) =
+  match event with
   | Pool.Progress (job, row) ->
     send_to st job.Pool.client
       (Protocol.progress ~id:job.Pool.spec.Jobspec.id row)
@@ -390,26 +453,15 @@ let route_event st = function
       (Protocol.retry ~id:job.Pool.spec.Jobspec.id
          ~trace_id:job.Pool.trace_id ~reason ~attempt:job.Pool.attempt)
   | Pool.Finished (job, worker, resumed_at, report) ->
-    st.completions <- Mc.Monotonic.now () :: st.completions;
-    Obs.Registry.set st.jps_gauge (jobs_per_s st);
-    (match job.Pool.checkpoint_path with
-    | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
-    | _ -> ());
-    let queue_s, e2e_s = job_timing job in
-    send_to st job.Pool.client
-      (Protocol.result ~id:job.Pool.spec.Jobspec.id ~trace_id:job.Pool.trace_id
-         ?trace:job.Pool.trace_path ~queue_s ~e2e_s ~worker ~resumed_at report)
+    complete st job ~emitted_at (fun ~queue_s ~e2e_s ->
+        Protocol.result ~id:job.Pool.spec.Jobspec.id
+          ~trace_id:job.Pool.trace_id ?trace:job.Pool.trace_path ~queue_s
+          ~e2e_s ~worker ~resumed_at report)
   | Pool.Batch_finished (job, worker, res, report) ->
-    st.completions <- Mc.Monotonic.now () :: st.completions;
-    Obs.Registry.set st.jps_gauge (jobs_per_s st);
-    (match job.Pool.checkpoint_path with
-    | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
-    | _ -> ());
-    let queue_s, e2e_s = job_timing job in
-    send_to st job.Pool.client
-      (Protocol.batch_result ~id:job.Pool.spec.Jobspec.id
-         ~trace_id:job.Pool.trace_id ?trace:job.Pool.trace_path ~queue_s ~e2e_s
-         ~worker res report)
+    complete st job ~emitted_at (fun ~queue_s ~e2e_s ->
+        Protocol.batch_result ~id:job.Pool.spec.Jobspec.id
+          ~trace_id:job.Pool.trace_id ?trace:job.Pool.trace_path ~queue_s
+          ~e2e_s ~worker res report)
   | Pool.Worker_died (sid, why, dump) ->
     Mc.Log.degraded ~what:"worker"
       ~detail:
@@ -426,26 +478,43 @@ let route_event st = function
 
 (* --- main loop -------------------------------------------------------- *)
 
+let new_client ~cid ~fd ~out =
+  {
+    cid;
+    fd;
+    out;
+    buf = Buffer.create 256;
+    outbuf = Buffer.create 256;
+    queued = 0;
+    written = 0;
+    results = Queue.create ();
+    alive = true;
+    in_open = true;
+    watch_interval = None;
+    watch_last = 0.0;
+    watch_prev = [];
+  }
+
 let accept_client st listen_fd =
   match Unix.accept listen_fd with
   | fd, _ ->
     Unix.set_nonblock fd;
     let cid = st.next_cid in
     st.next_cid <- cid + 1;
-    Hashtbl.replace st.clients cid
-      {
-        cid;
-        fd;
-        out = fd;
-        buf = Buffer.create 256;
-        outbuf = Buffer.create 256;
-        alive = true;
-        in_open = true;
-        watch_interval = None;
-        watch_last = 0.0;
-        watch_prev = [];
-      }
+    Hashtbl.replace st.clients cid (new_client ~cid ~fd ~out:fd)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Seconds until the next watch frame falls due, capped at the
+   supervision period: the select timeout when no event arrives. *)
+let sleep_budget st =
+  let now = Mc.Monotonic.now () in
+  Hashtbl.fold
+    (fun _ c acc ->
+      match c.watch_interval with
+      | Some ivl when c.alive -> Float.min acc (c.watch_last +. ivl -. now)
+      | _ -> acc)
+    st.clients supervise_period_s
+  |> Float.max 0.0
 
 let run ?(on_ready = fun () -> ()) cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -489,9 +558,12 @@ let run ?(on_ready = fun () -> ()) cfg =
       started_at = Mc.Monotonic.now ();
       next_cid = 1;
       next_seq = 0;
-      completions = [];
+      completions = Queue.create ();
+      rbuf = Bytes.create 65536;
       jps_gauge = Obs.Registry.gauge reg "srv.jobs_per_s";
       rejections = Obs.Registry.counter reg "srv.rejections";
+      route_ms = Obs.Registry.histogram reg "srv.route_ms";
+      flush_ms = Obs.Registry.histogram reg "srv.flush_ms";
     }
   in
   let listen_fd =
@@ -506,18 +578,7 @@ let run ?(on_ready = fun () -> ()) cfg =
   in
   if cfg.stdio then
     Hashtbl.replace st.clients 0
-      {
-        cid = 0;
-        fd = Unix.stdin;
-        out = Unix.stdout;
-        buf = Buffer.create 256;
-        outbuf = Buffer.create 256;
-        alive = true;
-        in_open = true;
-        watch_interval = None;
-        watch_last = 0.0;
-        watch_prev = [];
-      };
+      (new_client ~cid:0 ~fd:Unix.stdin ~out:Unix.stdout);
   on_ready ();
   let drained_notified = ref false in
   (* The loop is exiting: push remaining buffered event lines out with
@@ -562,12 +623,13 @@ let run ?(on_ready = fun () -> ()) cfg =
       Hashtbl.iter (fun _ c -> send_line c Protocol.draining) st.clients
     end
   in
+  let wake_fd = Pool.wake_fd st.pool in
   let rec loop () =
     reap_dead st;
     let accepting = (not (Atomic.get st.draining)) && listen_fd <> None in
     note_draining ();
     let fds =
-      (if accepting then Option.to_list listen_fd else [])
+      (wake_fd :: (if accepting then Option.to_list listen_fd else []))
       @ Hashtbl.fold
           (fun _ c acc -> if c.in_open then c.fd :: acc else acc)
           st.clients []
@@ -579,13 +641,14 @@ let run ?(on_ready = fun () -> ()) cfg =
         st.clients []
     in
     let ready, writable, _ =
-      match Unix.select fds wfds [] cfg.tick_s with
+      match Unix.select fds wfds [] (sleep_budget st) with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     List.iter
       (fun fd ->
-        if listen_fd = Some fd then accept_client st fd
+        if fd = wake_fd then ()  (* drained by Pool.poll below *)
+        else if listen_fd = Some fd then accept_client st fd
         else
           match
             Hashtbl.fold
@@ -605,8 +668,12 @@ let run ?(on_ready = fun () -> ()) cfg =
         | Some c -> flush_client st c
         | None -> ())
       writable;
+    (* Poll (which empties the wake pipe) before supervising: a worker
+       that dies after the supervisor looked rings the pipe after the
+       drain, so the next select returns at once. *)
+    let events = Pool.poll st.pool in
     Pool.supervise st.pool;
-    List.iter (route_event st) (Pool.poll st.pool);
+    List.iter (route_event st) events;
     tick_watchers st;
     Obs.Registry.set st.jps_gauge (jobs_per_s st);
     if Atomic.get st.draining && Pool.idle st.pool then begin

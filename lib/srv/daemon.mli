@@ -1,6 +1,12 @@
 (** The icvd event loop: a single-threaded select() loop owning all
     I/O and supervision, with the pool's worker domains reached
-    through the admission queue (in) and the event queue (out).
+    through the admission queue (in) and the event queue (out).  The
+    pool's wake pipe ({!Pool.wake_fd}) is in the select read set, so
+    results are routed as soon as a worker emits them; an idle loop
+    still wakes for supervision at a fixed internal period (100 ms) and
+    for due watch frames.  [srv.route_ms] times a result from the
+    worker's emit to its line being buffered, [srv.flush_ms] from there
+    to the line being fully written.
 
     Shutdown contract: SIGTERM/SIGINT, a ["shutdown"] request, or
     stdin EOF in stdio mode flips the draining flag.  A draining
@@ -30,12 +36,11 @@ type config = {
   max_total_live : int option;
   max_attempts : int;
   portfolio_domains : int;
-  tick_s : float;  (** supervision/select granularity *)
 }
 
 val default_config : config
 (** stdio off, no socket (configure at least one), 2 workers, queue
-    capacity 16, 10s hang timeout, 50ms tick. *)
+    capacity 16, 10s hang timeout. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Run until drained.  [on_ready] fires once the socket is bound and

@@ -5,8 +5,18 @@
    thaws its own private copy, so the shared-nothing discipline of
    [Mc.Parallel] is preserved.
 
-   Supervision runs on the daemon thread via [supervise], called every
-   tick.  Three failure modes are handled:
+   Events reach the daemon through a mutex-guarded queue plus a
+   self-pipe: [emit] pushes the event, then writes one byte to the
+   pipe, whose read end sits in the daemon's select set, so a finished
+   job wakes the loop at once.  The byte is only a doorbell -- the
+   queue holds the events, so a full pipe (EAGAIN) loses nothing -- and
+   [poll] drains the pipe before it reads the queue, so an event pushed
+   after the drain always leaves a byte behind.  A crashing worker
+   rings the same bell after recording its cause.
+
+   Supervision runs on the daemon thread via [supervise], called on
+   every wake-up and at least once per supervision period.  Three
+   failure modes are handled:
 
    - {b crash}: an exception escapes the worker loop.  The top-level
      wrapper records it in [slot.dead] and lets the domain end; the
@@ -46,6 +56,9 @@ type job = {
   submitted_at : float;
   deadline_at : float option;
   checkpoint_path : string option;
+  model_key : string;
+      (* [Jobspec.model_key] of the spec, computed once at admission:
+         the worker's affinity test against its scratch manager *)
   mutable dispatched_at : float;
       (* when the latest attempt left the queue; 0.0 before dispatch.
          Written by the dispatching worker, read by the daemon after
@@ -54,7 +67,7 @@ type job = {
   mutable inflight : bool;  (* likewise *)
 }
 
-let job ~spec ~frozen ~client ~trace_id ?trace_path ~deadline_at
+let job ~spec ~model_key ~frozen ~client ~trace_id ?trace_path ~deadline_at
     ~checkpoint_path () =
   {
     spec;
@@ -65,6 +78,7 @@ let job ~spec ~frozen ~client ~trace_id ?trace_path ~deadline_at
     submitted_at = Mc.Monotonic.now ();
     deadline_at;
     checkpoint_path;
+    model_key;
     dispatched_at = 0.0;
     attempt = 1;
     inflight = true;
@@ -88,7 +102,10 @@ type slot = {
   sid : int;
   mutable domain : unit Domain.t option;
   hb : float Atomic.t;  (* monotonic time of last sign of life *)
-  live : int Atomic.t;  (* live BDD nodes in this worker's manager *)
+  live : int Atomic.t;
+      (* live BDD nodes this worker holds: the running job's manager
+         while busy (progress hook), the retained scratch manager's
+         count published after each job while idle *)
   busy : bool Atomic.t;
   cancel : bool Atomic.t;
   dead : string option Atomic.t;
@@ -104,8 +121,9 @@ type slot = {
   mutable scratch : (string * Mc.Model.t) option;
       (* last thawed model, keyed by [Jobspec.model_key]: consecutive
          jobs on the same declaration reuse the manager instead of
-         re-thawing.  Worker-domain private -- the supervisor never
-         reads it, and it dies with the slot. *)
+         re-thawing, and the worker prefers queued jobs with its key.
+         Worker-domain private -- the supervisor only sees its live
+         count through [live], and it dies with the slot. *)
 }
 
 type config = {
@@ -137,7 +155,15 @@ type t = {
   queue : job Admission.t;
   mutable slots : slot array;
   ev_lock : Mutex.t;
-  events : event Queue.t;
+  events : (float * event) Queue.t;  (* emit time, event *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+      (* self-pipe, both ends nonblocking: one byte per emit *)
+  mutable wake_open : bool;  (* daemon thread only *)
+  mutable orphans : int;
+      (* abandoned slots whose domains may still run; while any exist
+         the pipe is never closed, so a late byte cannot land in a
+         reused descriptor *)
   outstanding : int Atomic.t;
       (* admitted but not yet resolved; the drain-completion signal.
          Counted here rather than via queue+busy scans because a job
@@ -164,17 +190,40 @@ type t = {
 
 let ms f = int_of_float (f *. 1e3)
 
+let doorbell = Bytes.make 1 '!'
+
+let rec wake t =
+  match Unix.single_write t.wake_w doorbell 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake t
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
 let emit t e =
   Mutex.lock t.ev_lock;
-  Queue.push e t.events;
-  Mutex.unlock t.ev_lock
+  Queue.push (Mc.Monotonic.now (), e) t.events;
+  Mutex.unlock t.ev_lock;
+  wake t
 
+let drain_buf = Bytes.create 256
+
+let rec drain_wake t =
+  match Unix.read t.wake_r drain_buf 0 (Bytes.length drain_buf) with
+  | 0 -> ()
+  | n -> if n = Bytes.length drain_buf then drain_wake t
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain_wake t
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
+(* Drain the doorbell first: an event pushed after this point rings
+   again, so the daemon can never sleep on a non-empty queue. *)
 let poll t =
+  if t.wake_open then drain_wake t;
   Mutex.lock t.ev_lock;
-  let out = Queue.fold (fun acc e -> e :: acc) [] t.events in
+  let out = List.of_seq (Queue.to_seq t.events) in
   Queue.clear t.events;
   Mutex.unlock t.ev_lock;
-  List.rev out
+  out
+
+let wake_fd t = t.wake_r
 
 (* --- flight recorder -------------------------------------------------- *)
 
@@ -212,12 +261,12 @@ let flight t = t.flight
 
 (* --- memory-pressure ladder ----------------------------------------- *)
 
+(* Busy slots count their running manager, idle ones their retained
+   scratch: both hold node capacity. *)
 let total_live t =
   Array.fold_left
     (fun acc s ->
-      if Atomic.get s.busy && not (Atomic.get s.abandoned) then
-        acc + Atomic.get s.live
-      else acc)
+      if Atomic.get s.abandoned then acc else acc + Atomic.get s.live)
     0 t.slots
 
 let pressure t =
@@ -441,7 +490,7 @@ let run_job t slot (job : job) ~attempt =
        sink is per-job (cleared in the [finally]), and the progress
        hook installed at thaw time closes over this same slot. *)
     if p >= 1 then slot.scratch <- None;
-    let key = Jobspec.model_key job.spec.Jobspec.model in
+    let key = job.model_key in
     (* The heartbeat hook goes onto the fresh manager before the model
        is rebuilt, so the thaw of a large model beats too (the fault
        hook waits until after the thaw: injection offsets are relative
@@ -643,11 +692,34 @@ let run_job t slot (job : job) ~attempt =
 
 (* --- worker lifecycle ------------------------------------------------ *)
 
+(* Publish the retained scratch's live count, then apply the same rule
+   [run_job] applies at dispatch: at pressure >= 1 the scratch is
+   dropped.  Every idle retention thus passed a check that included all
+   other published counts, so idle scratch alone stays under half the
+   cap and cannot hold the pool at a refusing pressure level. *)
+let retain_scratch t slot =
+  match slot.scratch with
+  | None -> Atomic.set slot.live 0
+  | Some (_, m) ->
+    Atomic.set slot.live (Bdd.live_nodes (Mc.Model.man m));
+    if pressure t >= 1 then begin
+      slot.scratch <- None;
+      Atomic.set slot.live 0
+    end
+
+(* Affinity: a worker holding a warm scratch manager asks the queue for
+   a job on the same declaration first; the admission queue bounds how
+   often any job can be overtaken this way. *)
 let worker_loop t slot =
   let rec loop () =
     if Atomic.get slot.abandoned then ()
     else
-      match Admission.pop t.queue with
+      let prefer =
+        Option.map
+          (fun (key, _) (j : job) -> String.equal j.model_key key)
+          slot.scratch
+      in
+      match Admission.pop ?prefer t.queue with
       | None -> ()
       | Some job ->
         if Atomic.get slot.abandoned then
@@ -674,9 +746,9 @@ let worker_loop t slot =
           run_job t slot job ~attempt;
           (* Reached only on normal completion: a crash must leave
              [busy]/[current] set so the supervisor can requeue. *)
+          retain_scratch t slot;
           Atomic.set slot.busy false;
           Atomic.set slot.current None;
-          Atomic.set slot.live 0;
           loop ()
         end
   in
@@ -702,22 +774,32 @@ let make_slot t sid =
     Domain.spawn (fun () ->
         try worker_loop t slot
         with e ->
-          (* Crash path: record the cause and let the domain end; the
-             supervisor joins, requeues and respawns. *)
-          Atomic.set slot.dead (Some (Printexc.to_string e)))
+          (* Crash path: record the cause, wake the daemon and let the
+             domain end; the supervisor joins, requeues and respawns. *)
+          Atomic.set slot.dead (Some (Printexc.to_string e));
+          wake t)
   in
   slot.domain <- Some d;
   slot
 
 let create ?(config = default_config) ~queue_capacity () =
   let reg = Obs.Registry.default in
+  let workers = max 1 config.workers in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
-      cfg = { config with workers = max 1 config.workers };
-      queue = Admission.create ~capacity:queue_capacity;
+      cfg = { config with workers };
+      queue =
+        Admission.create ~max_passes:workers ~capacity:queue_capacity ();
       slots = [||];
       ev_lock = Mutex.create ();
       events = Queue.create ();
+      wake_r;
+      wake_w;
+      wake_open = true;
+      orphans = 0;
       outstanding = Atomic.make 0;
       next_sid = 0;
       last_pressure = 0;
@@ -795,14 +877,13 @@ let slot_health t =
          })
 
 (* (name, p50, p90, p99) in milliseconds for each latency histogram. *)
-let latency t =
-  List.map
-    (fun h ->
-      ( Obs.Registry.histogram_name h,
-        Obs.Registry.histogram_percentile h 0.5,
-        Obs.Registry.histogram_percentile h 0.9,
-        Obs.Registry.histogram_percentile h 0.99 ))
-    [ t.queue_ms; t.thaw_ms; t.solve_ms; t.e2e_ms ]
+let latency_row h =
+  ( Obs.Registry.histogram_name h,
+    Obs.Registry.histogram_percentile h 0.5,
+    Obs.Registry.histogram_percentile h 0.9,
+    Obs.Registry.histogram_percentile h 0.99 )
+
+let latency t = List.map latency_row [ t.queue_ms; t.thaw_ms; t.solve_ms; t.e2e_ms ]
 
 (* --- supervision ----------------------------------------------------- *)
 
@@ -858,6 +939,7 @@ let supervise t =
                code.  Abandon the slot (zombie) and move on; the
                orphan domain is never joined. *)
             Atomic.set slot.abandoned true;
+            t.orphans <- t.orphans + 1;
             let dump =
               dump_flight t
                 ~trigger:
@@ -909,4 +991,11 @@ let shutdown t =
         match slot.domain with
         | Some d -> ( try Domain.join d with _ -> ())
         | None -> ())
-    t.slots
+    t.slots;
+  (* Every joined worker is past its last emit; events already queued
+     stay pollable. *)
+  if t.wake_open && t.orphans = 0 then begin
+    t.wake_open <- false;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+  end

@@ -3,8 +3,11 @@
     Workers are OCaml 5 domains running a pop/run loop over the
     admission queue; models travel as {!Mc.Parallel.frozen} strings
     and each worker thaws a private copy, preserving the
-    shared-nothing discipline.  {!supervise} (called from the daemon
-    tick) handles three failure modes:
+    shared-nothing discipline.  Events travel back through a queue
+    plus a self-pipe ({!wake_fd}): every event, and every worker
+    crash, writes one byte, so the daemon's select wakes at once.
+    {!supervise} (called by the daemon on every wake-up and at least
+    once per supervision period) handles three failure modes:
 
     - {b crash}: an escaped exception ends the domain; the supervisor
       joins it, requeues the in-flight job on the urgent lane and
@@ -21,8 +24,14 @@
     Workers keep their last thawed model as scratch: consecutive jobs
     naming the same declaration ({!Jobspec.model_key}) reuse the
     manager — unique and computed tables stay warm — instead of
-    re-thawing; the scratch is dropped whenever memory pressure rises
-    above zero.  Reuses are counted under ["srv.manager_reuses"].
+    re-thawing.  An idle worker's scratch counts toward memory
+    pressure, and the scratch is dropped whenever the pressure, checked
+    at dispatch and again right after each job, is above zero; retained
+    scratch alone therefore never reaches the level that refuses work.  Reuses are counted under ["srv.manager_reuses"].  To
+    make reuse likely, a worker with a scratch pops the first queued
+    job on the same declaration among the first few of the normal
+    lane (see {!Admission.pop}); no job is overtaken more than
+    [workers] times.
 
     Every admitted job is resolved exactly once — with a [Finished]
     event — even when a worker verdict races the supervisor's hang
@@ -49,6 +58,9 @@ type job = {
   submitted_at : float;
   deadline_at : float option;  (** absolute, on the monotonic clock *)
   checkpoint_path : string option;
+  model_key : string;
+      (** {!Jobspec.model_key} of [spec.model], computed once at
+          admission *)
   mutable dispatched_at : float;
       (** when the latest attempt left the queue (0.0 before dispatch);
           read it only after the job's terminal event *)
@@ -58,6 +70,7 @@ type job = {
 
 val job :
   spec:Jobspec.t ->
+  model_key:string ->
   frozen:Mc.Parallel.frozen ->
   client:int ->
   trace_id:string ->
@@ -112,8 +125,16 @@ val submit : t -> job -> (int, string) result
 (** [Ok queue_depth] or [Error reason] (queue full / closed) — the
     caller turns the error into an explicit protocol rejection. *)
 
-val poll : t -> event list
-(** Drain pending events (daemon thread only). *)
+val poll : t -> (float * event) list
+(** Drain pending events with their emit times on the
+    {!Mc.Monotonic} clock, oldest first (daemon thread only).  Empties
+    {!wake_fd} before it reads the queue, so an event emitted after
+    the call always leaves the fd readable. *)
+
+val wake_fd : t -> Unix.file_descr
+(** Read end of the pool's self-pipe: readable whenever an event is
+    pending or a worker died.  For the daemon's select set only; read
+    it through {!poll}.  Closed by {!shutdown}. *)
 
 val supervise : t -> unit
 (** One supervision tick: reap crashed workers, cancel or replace hung
@@ -121,7 +142,9 @@ val supervise : t -> unit
 
 val shutdown : t -> unit
 (** Close the queue, let workers drain it and join them (abandoned
-    zombie slots excepted).  Call when {!idle} after draining. *)
+    zombie slots excepted), then close the self-pipe unless a zombie
+    might still write to it.  Call when {!idle} after draining; events
+    already emitted stay pollable. *)
 
 (** {1 Introspection} *)
 
@@ -138,6 +161,8 @@ val outstanding : t -> int
 (** Admitted jobs not yet resolved (queued + inflight). *)
 
 val total_live : t -> int
+(** Live BDD nodes over all workers: a busy worker's running manager,
+    an idle worker's retained scratch manager. *)
 
 type slot_health = {
   sh_sid : int;
@@ -154,6 +179,9 @@ val slot_health : t -> slot_health list
 val latency : t -> (string * float * float * float) list
 (** [(histogram_name, p50, p90, p99)] in milliseconds for the
     queue/thaw/solve/end-to-end latency split. *)
+
+val latency_row : Obs.Registry.histogram -> string * float * float * float
+(** One {!latency} row for any histogram. *)
 
 val flight : t -> Flight.t
 (** The pool's flight-recorder ring (admissions, dispatches, throttled

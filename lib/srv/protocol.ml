@@ -18,6 +18,8 @@ type request =
   | Ping
   | Shutdown
 
+let min_watch_interval_s = 0.05
+
 let request_of_line line =
   match Obs.Json.of_string line with
   | exception Obs.Json.Parse_error why ->
@@ -39,7 +41,7 @@ let request_of_line line =
       | None -> Ok (Watch 2.0)
       | Some v -> (
         match Obs.Json.to_float v with
-        | Some f when f > 0.0 -> Ok (Watch f)
+        | Some f when f > 0.0 -> Ok (Watch (Float.max min_watch_interval_s f))
         | Some _ -> Error "watch interval_s must be positive"
         | None -> Error "watch interval_s must be a number"))
     | Some "unwatch" -> Ok Unwatch

@@ -15,10 +15,16 @@ type request =
   | Health  (** queue depths, inflight, per-worker liveness, pressure *)
   | Watch of float
       (** stream a [metrics] delta event every [interval_s] seconds
-          until [Unwatch] or disconnect *)
+          until [Unwatch] or disconnect; never below
+          {!min_watch_interval_s} *)
   | Unwatch
   | Ping
   | Shutdown  (** begin draining, as if SIGTERM had arrived *)
+
+val min_watch_interval_s : float
+(** Floor applied to a requested watch interval: the daemon's loop
+    wakes for every due frame, so a tiny interval must not turn it
+    into a busy loop. *)
 
 val request_of_line : string -> (request, string) result
 (** Parse one request line.  [{"type":"submit", ...job fields...}]

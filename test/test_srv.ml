@@ -100,6 +100,8 @@ let test_requests () =
     (Srv.Protocol.Watch 2.0);
   check_req "watch custom interval" {|{"type":"watch","interval_s":0.5}|}
     (Srv.Protocol.Watch 0.5);
+  check_req "tiny watch interval floored" {|{"type":"watch","interval_s":1e-6}|}
+    (Srv.Protocol.Watch Srv.Protocol.min_watch_interval_s);
   check_req "unwatch" {|{"type":"unwatch"}|} Srv.Protocol.Unwatch;
   (match Srv.Protocol.request_of_line {|{"type":"watch","interval_s":-1}|} with
   | Error _ -> ()
@@ -173,7 +175,7 @@ let test_event_shape () =
 (* --- admission queue ------------------------------------------------- *)
 
 let test_admission_bounds () =
-  let q = Srv.Admission.create ~capacity:2 in
+  let q = Srv.Admission.create ~max_passes:0 ~capacity:2 () in
   Alcotest.(check bool) "first push" true (Srv.Admission.try_push q 1 = Ok 1);
   Alcotest.(check bool) "second push" true (Srv.Admission.try_push q 2 = Ok 2);
   (match Srv.Admission.try_push q 3 with
@@ -196,7 +198,7 @@ let test_admission_bounds () =
   Alcotest.(check bool) "then signals exit" true (Srv.Admission.pop q = None)
 
 let test_admission_urgent_lane () =
-  let q = Srv.Admission.create ~capacity:1 in
+  let q = Srv.Admission.create ~max_passes:0 ~capacity:1 () in
   Alcotest.(check bool) "normal lane fills" true
     (Srv.Admission.try_push q `Normal = Ok 1);
   (match Srv.Admission.try_push q `Normal with
@@ -210,6 +212,189 @@ let test_admission_urgent_lane () =
     (Srv.Admission.pop q = Some `Urgent);
   Alcotest.(check bool) "then the normal lane" true
     (Srv.Admission.pop q = Some `Normal)
+
+let test_admission_prefer () =
+  let q = Srv.Admission.create ~max_passes:1 ~capacity:16 () in
+  let push x = ignore (Srv.Admission.try_push q x) in
+  let is k (k', _) = k = k' in
+  List.iter push [ ("a", 1); ("b", 1); ("a", 2); ("b", 2) ];
+  Alcotest.(check (option (pair string int))) "preferred entry within the window first"
+    (Some ("b", 1))
+    (Srv.Admission.pop ~prefer:(is "b") q);
+  (* ("a", 1) has now been overtaken once, the bound: a further
+     preferred pop may not pass it again. *)
+  Alcotest.(check (option (pair string int))) "an entry at its bound is not passed"
+    (Some ("a", 1))
+    (Srv.Admission.pop ~prefer:(is "b") q);
+  Alcotest.(check (option (pair string int))) "no preference is FIFO" (Some ("a", 2))
+    (Srv.Admission.pop q);
+  Alcotest.(check (option (pair string int))) "no match falls back to the head"
+    (Some ("b", 2))
+    (Srv.Admission.pop ~prefer:(is "z") q);
+  (* A match beyond the first eight entries is out of reach. *)
+  List.iter push (List.init 8 (fun i -> ("a", i)) @ [ ("b", 9) ]);
+  Alcotest.(check (option (pair string int))) "the window is bounded" (Some ("a", 0))
+    (Srv.Admission.pop ~prefer:(is "b") q);
+  Srv.Admission.push_urgent q ("u", 0);
+  Alcotest.(check (option (pair string int))) "urgent still comes first" (Some ("u", 0))
+    (Srv.Admission.pop ~prefer:(is "b") q);
+  (* max_passes 0: strictly FIFO whatever the preference. *)
+  let fifo = Srv.Admission.create ~max_passes:0 ~capacity:4 () in
+  List.iter (fun x -> ignore (Srv.Admission.try_push fifo x)) [ 1; 2 ];
+  Alcotest.(check (option int)) "max_passes 0 is FIFO" (Some 1)
+    (Srv.Admission.pop ~prefer:(fun x -> x = 2) fifo)
+
+(* Random push/pop sequences with random preferences against a model
+   FIFO: every pop returns a queued element, every element comes out
+   exactly once, and none is overtaken more than [max_passes] times. *)
+let test_admission_pass_bound =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      pair (int_range 0 3)
+        (list_size (int_range 1 60)
+           (oneof
+              [
+                map (fun k -> `Push k) (int_bound 3);
+                map (fun k -> `Pop (Some k)) (int_bound 3);
+                return (`Pop None);
+              ])))
+  in
+  let print (bound, ops) =
+    Printf.sprintf "max_passes %d: %s" bound
+      (String.concat " "
+         (List.map
+            (function
+              | `Push k -> Printf.sprintf "push%d" k
+              | `Pop (Some k) -> Printf.sprintf "pop%d" k
+              | `Pop None -> "pop")
+            ops))
+  in
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 17 |])
+    (Test.make ~count:300 ~name:"no job is passed over more than the bound"
+       ~print gen (fun (bound, ops) ->
+         let q = Srv.Admission.create ~max_passes:bound ~capacity:64 () in
+         (* model: (id, key, passes) in arrival order *)
+         let model = ref [] and next = ref 0 and out = ref [] in
+         let pop prefer =
+           match
+             Srv.Admission.pop
+               ?prefer:(Option.map (fun k (_, k') -> k = k') prefer)
+               q
+           with
+           | None -> false
+           | Some (id, _) ->
+             let rec split acc = function
+               | [] -> None
+               | ((id', _, _) as e) :: rest ->
+                 if id' = id then Some (List.rev acc, rest)
+                 else split (e :: acc) rest
+             in
+             (match split [] !model with
+             | None -> false
+             | Some (ahead, rest) ->
+               let ahead = List.map (fun (i, k, n) -> (i, k, n + 1)) ahead in
+               out := id :: !out;
+               model := ahead @ rest;
+               List.for_all (fun (_, _, n) -> n <= bound) ahead)
+         in
+         let step ok op =
+           ok
+           &&
+           match op with
+           | `Push k ->
+             let id = !next in
+             incr next;
+             (match Srv.Admission.try_push q (id, k) with
+             | Ok _ -> model := !model @ [ (id, k, 0) ]
+             | Error _ -> ());
+             true
+           | `Pop prefer -> !model = [] || pop prefer
+         in
+         List.fold_left step true ops
+         && (Srv.Admission.close q;
+             let rec drain () = !model = [] || (pop None && drain ()) in
+             drain ())
+         && Srv.Admission.pop q = None
+         && List.sort compare !out = List.init !next Fun.id))
+
+(* --- worker pool ------------------------------------------------------ *)
+
+let test_pool_wake_fd () =
+  let pool =
+    Srv.Pool.create
+      ~config:{ Srv.Pool.default_config with workers = 1 }
+      ~queue_capacity:4 ()
+  in
+  let fd = Srv.Pool.wake_fd pool in
+  let readable timeout =
+    match Unix.select [ fd ] [] [] timeout with
+    | r, _, _ -> r <> []
+  in
+  Alcotest.(check bool) "quiet before any job" false (readable 0.0);
+  let spec = parse_job {|{"id":"w","model":{"family":"fifo","depth":2}}|} in
+  let model = spec.Srv.Jobspec.model in
+  let job =
+    Srv.Pool.job ~spec ~model_key:(Srv.Jobspec.model_key model)
+      ~frozen:(Mc.Parallel.freeze (Srv.Jobspec.build model))
+      ~client:0 ~trace_id:"t-w" ~deadline_at:None ~checkpoint_path:None ()
+  in
+  Alcotest.(check bool) "admitted" true (Result.is_ok (Srv.Pool.submit pool job));
+  Alcotest.(check bool) "readable once the job finishes" true (readable 30.0);
+  let finished =
+    List.exists
+      (function _, Srv.Pool.Finished _ -> true | _ -> false)
+      (Srv.Pool.poll pool)
+  in
+  Alcotest.(check bool) "the finished event is pollable" true finished;
+  (* The worker rings after it pushes; once it is idle again every
+     byte it wrote has landed, and one more poll empties the pipe. *)
+  while Srv.Pool.busy_workers pool > 0 do
+    Unix.sleepf 0.001
+  done;
+  ignore (Srv.Pool.poll pool);
+  Alcotest.(check bool) "empty after poll" false (readable 0.0);
+  Srv.Pool.shutdown pool
+
+let test_pool_idle_scratch_pressure () =
+  (* A retained scratch manager holds nodes while its worker is idle,
+     so it counts toward --max-total-live; and the "scratch dropped at
+     pressure >= 1" rule applies to that retention too, so an idle pool
+     never sits at a pressure level that refuses work. *)
+  let idle_after_one_job ~cap =
+    let pool =
+      Srv.Pool.create
+        ~config:
+          { Srv.Pool.default_config with workers = 1; max_total_live = Some cap }
+        ~queue_capacity:4 ()
+    in
+    let spec = parse_job {|{"id":"p","model":{"family":"fifo","depth":2}}|} in
+    let model = spec.Srv.Jobspec.model in
+    let job =
+      Srv.Pool.job ~spec ~model_key:(Srv.Jobspec.model_key model)
+        ~frozen:(Mc.Parallel.freeze (Srv.Jobspec.build model))
+        ~client:0 ~trace_id:"t-p" ~deadline_at:None ~checkpoint_path:None ()
+    in
+    ignore (Srv.Pool.submit pool job);
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while
+      (not (Srv.Pool.idle pool && Srv.Pool.busy_workers pool = 0))
+      && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.002
+    done;
+    Alcotest.(check int) "worker idle" 0 (Srv.Pool.busy_workers pool);
+    let live = Srv.Pool.total_live pool and p = Srv.Pool.pressure pool in
+    Srv.Pool.shutdown pool;
+    (live, p)
+  in
+  let live, p = idle_after_one_job ~cap:1_000_000 in
+  Alcotest.(check bool) "idle scratch counted as live" true (live > 0);
+  Alcotest.(check int) "small scratch kept at pressure 0" 0 p;
+  let live, p = idle_after_one_job ~cap:2 in
+  Alcotest.(check int) "scratch over half the cap dropped" 0 live;
+  Alcotest.(check int) "idle pool back at pressure 0" 0 p
 
 (* --- end-to-end daemon over a Unix socket ---------------------------- *)
 
@@ -289,7 +474,6 @@ let base_cfg sock =
   {
     Srv.Daemon.default_config with
     Srv.Daemon.socket_path = Some sock;
-    tick_s = 0.01;
     default_deadline_s = Some 60.0;
   }
 
@@ -328,6 +512,53 @@ let test_daemon_verdict_parity () =
           (Some (Mc.Report.status_string oneshot))
           (ev_str "verdict" r))
     jobs
+
+let test_daemon_pressure_recovers () =
+  (* With a tiny --max-total-live, a finished job's scratch must not
+     leave the idle daemon refusing every later submission. *)
+  let cfg sock =
+    { (base_cfg sock) with Srv.Daemon.workers = 1; max_total_live = Some 2 }
+  in
+  let sock = tmp_sock () in
+  let events =
+    with_daemon (cfg sock) (fun () ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        let oc = Unix.out_channel_of_descr fd in
+        let ic = Unix.in_channel_of_descr fd in
+        let send l =
+          output_string oc l;
+          output_char oc '\n';
+          flush oc
+        in
+        let events = ref [] in
+        let rec until_terminal id =
+          let j = Obs.Json.of_string (input_line ic) in
+          events := j :: !events;
+          let ty = ev_type j in
+          if not ((ty = "result" || ty = "rejected") && ev_id j = Some id) then
+            until_terminal id
+        in
+        send {|{"id":"first","model":{"family":"fifo","depth":2}}|};
+        until_terminal "first";
+        send {|{"id":"second","model":{"family":"fifo","depth":2}}|};
+        until_terminal "second";
+        send {|{"type":"shutdown"}|};
+        (try
+           while true do
+             events := Obs.Json.of_string (input_line ic) :: !events
+           done
+         with End_of_file -> ());
+        (try Unix.close fd with _ -> ());
+        !events)
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s admitted and answered" id)
+        true
+        (Option.is_some (find_result id events)))
+    [ "first"; "second" ]
 
 let test_daemon_overload () =
   (* One worker, queue of one: a burst of three slow jobs must yield at
@@ -558,7 +789,9 @@ let test_daemon_introspection () =
     (match Obs.Json.member "latency" s with
     | Some (Obs.Json.Obj rows) ->
       Alcotest.(check bool) "latency covers the e2e histogram" true
-        (List.mem_assoc "srv.e2e_ms" rows)
+        (List.mem_assoc "srv.e2e_ms" rows);
+      Alcotest.(check bool) "latency splits the daemon's own hops" true
+        (List.mem_assoc "srv.route_ms" rows && List.mem_assoc "srv.flush_ms" rows)
     | _ -> Alcotest.fail "stats carries no latency object"));
   (match prom with
   | [] -> Alcotest.fail "no Prometheus stats event"
@@ -569,7 +802,10 @@ let test_daemon_introspection () =
       (contains ~sub:"icv_" text);
     Alcotest.(check bool) "latency histograms exported" true
       (contains ~sub:"icv_srv_e2e_ms_bucket" text
-      || contains ~sub:"icv_srv_e2e_ms_count" text));
+      || contains ~sub:"icv_srv_e2e_ms_count" text);
+    Alcotest.(check bool) "route and flush histograms exported" true
+      (contains ~sub:"icv_srv_route_ms_count" text
+      && contains ~sub:"icv_srv_flush_ms_count" text));
   (match List.find_opt (fun j -> ev_type j = "health") events with
   | None -> Alcotest.fail "no health event"
   | Some h ->
@@ -837,6 +1073,111 @@ let test_daemon_trace_stability () =
     (List.length attempts >= 2);
   rm_rf_dir dir
 
+(* Seeded exactly-once property over the socket daemon: random tiny
+   jobs, some with crash or exceed injection, submitted in one burst to
+   two workers.  Every id must get exactly one terminal event (result or
+   rejected), and once all have arrived the daemon must report nothing
+   outstanding.  The seed is fixed, so a failure replays. *)
+let test_daemon_exactly_once =
+  let open QCheck2 in
+  let models =
+    [|
+      {|{"family":"fifo","depth":2}|};
+      {|{"family":"fifo","depth":3}|};
+      {|{"family":"network","procs":2}|};
+      {|{"family":"filter","depth":2}|};
+    |]
+  in
+  let faults =
+    [|
+      "";
+      {|,"fault":{"after_steps":1,"action":"crash"}|};
+      {|,"fault":{"after_iterations":1,"action":"crash"}|};
+      {|,"fault":{"after_steps":1,"action":"exceed"}|};
+    |]
+  in
+  let gen =
+    Gen.(
+      list_size (int_range 3 10)
+        (pair (int_bound (Array.length models - 1))
+           (frequency [ (3, return 0); (1, int_range 1 (Array.length faults - 1)) ])))
+  in
+  let print jobs =
+    String.concat "; "
+      (List.map (fun (m, f) -> Printf.sprintf "%s%s" models.(m) faults.(f)) jobs)
+  in
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 2026 |])
+    (Test.make ~count:4 ~name:"every job resolves exactly once" ~print gen
+       (fun jobs ->
+         let dir = tmp_sock () ^ ".once.d" in
+         let sock = tmp_sock () in
+         let cfg =
+           { (base_cfg sock) with checkpoint_dir = Some dir; hang_timeout_s = 5.0 }
+         in
+         let lines =
+           List.mapi
+             (fun i (m, f) ->
+               Printf.sprintf {|{"id":"q%d","model":%s%s}|} i models.(m)
+                 faults.(f))
+             jobs
+         in
+         let ids = List.mapi (fun i _ -> Printf.sprintf "q%d" i) jobs in
+         let events, inflight =
+           with_daemon cfg (fun () ->
+               let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+               Unix.connect fd (Unix.ADDR_UNIX sock);
+               let oc = Unix.out_channel_of_descr fd in
+               let ic = Unix.in_channel_of_descr fd in
+               let send l =
+                 output_string oc l;
+                 output_char oc '\n';
+                 flush oc
+               in
+               List.iter send lines;
+               let events = ref [] in
+               let terminal j =
+                 let ty = ev_type j in
+                 ty = "result" || ty = "rejected"
+               in
+               let resolved () =
+                 List.for_all
+                   (fun id ->
+                     List.exists (fun j -> terminal j && ev_id j = Some id) !events)
+                   ids
+               in
+               while not (resolved ()) do
+                 events := Obs.Json.of_string (input_line ic) :: !events
+               done;
+               send {|{"type":"health"}|};
+               let rec health () =
+                 let j = Obs.Json.of_string (input_line ic) in
+                 events := j :: !events;
+                 if ev_type j = "health" then
+                   Option.bind (Obs.Json.member "inflight" j) Obs.Json.to_int
+                 else health ()
+               in
+               let inflight = health () in
+               send {|{"type":"shutdown"}|};
+               (try
+                  while true do
+                    events := Obs.Json.of_string (input_line ic) :: !events
+                  done
+                with End_of_file -> ());
+               (try Unix.close fd with _ -> ());
+               (!events, inflight))
+         in
+         rm_rf_dir dir;
+         let terminals id =
+           List.length
+             (List.filter
+                (fun j ->
+                  (ev_type j = "result" || ev_type j = "rejected")
+                  && ev_id j = Some id)
+                events)
+         in
+         List.for_all (fun id -> terminals id = 1) ids && inflight = Some 0))
+
 let () =
   Alcotest.run "srv"
     [
@@ -858,10 +1199,20 @@ let () =
         [
           Alcotest.test_case "bounded queue" `Quick test_admission_bounds;
           Alcotest.test_case "urgent lane" `Quick test_admission_urgent_lane;
+          Alcotest.test_case "preferred pop" `Quick test_admission_prefer;
+          test_admission_pass_bound;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "wake fd" `Quick test_pool_wake_fd;
+          Alcotest.test_case "idle scratch counts toward pressure" `Quick
+            test_pool_idle_scratch_pressure;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "verdict parity" `Quick test_daemon_verdict_parity;
+          Alcotest.test_case "idle scratch does not pin pressure" `Quick
+            test_daemon_pressure_recovers;
           Alcotest.test_case "overload rejects explicitly" `Quick
             test_daemon_overload;
           Alcotest.test_case "portfolio jobs stay live under supervision"
@@ -878,5 +1229,6 @@ let () =
             test_daemon_flight_dump;
           Alcotest.test_case "trace id stable across checkpoint retry" `Quick
             test_daemon_trace_stability;
+          test_daemon_exactly_once;
         ] );
     ]
