@@ -1,8 +1,8 @@
 (* Benchmark harness: regenerates every data artifact of the paper
    (Tables 1, 2 and 3 -- Figures 1-3 are an algorithm listing and two
    block diagrams, so the tables are the complete set), plus ablation
-   benchmarks for the design choices called out in DESIGN.md and a
-   Bechamel micro-benchmark suite (one Test.make per table).
+   benchmarks for the design choices called out in DESIGN.md, the
+   batch amortisation gate and the daemon latency bench.
 
    Node counts are machine-independent and comparable with the paper;
    wall times are this machine's.  Each row prints the paper's reported
@@ -55,8 +55,9 @@ let run_row ?(label = "") budgets ?xici_cfg ?termination meth model ~paper =
   if !json_mode then Mc.Telemetry.reset ();
   let alloc0 = Gc.allocated_bytes () in
   let r =
-    Mc.Runner.run ~limits:(limits_of budgets) ?xici_cfg ?termination meth
-      model
+    (Mc.Job.attempt ~limits:(limits_of budgets) ?xici_cfg ?termination
+       (Mc.Job.Method meth) model)
+      .Mc.Job.report
   in
   let allocated = Gc.allocated_bytes () -. alloc0 in
   Format.printf "  %-10s %a   alloc=%.1fMB   [paper: %s]@.%!" label
@@ -497,182 +498,6 @@ let ablation_reorder _budgets =
         (Unix.gettimeofday () -. t0))
     [ 4; 5 ]
 
-(* Checkpoint overhead: the same XICI run cold vs. snapshotting every
-   iteration, plus a resilient-driver run whose first attempt is killed
-   by a tight node budget -- quantifying what the resilience layer
-   costs when nothing goes wrong and what it saves when something
-   does. *)
-let bench_checkpoint budgets =
-  head "=== Resilience: checkpoint overhead and escalation cost ===";
-  let cases =
-    [
-      ( "fifo-10",
-        fun () ->
-          Models.Typed_fifo.make { Models.Typed_fifo.default with depth = 10 }
-      );
-      ("filter-8", fun () -> filter_model 8 false);
-      ("cpu-2R1B", fun () -> cpu_model 2 1);
-    ]
-  in
-  table_header ();
-  List.iter
-    (fun (name, model) ->
-      let cold =
-        run_row ~label:name budgets Mc.Runner.Xici (model ())
-          ~paper:"no checkpointing"
-      in
-      let path = Filename.temp_file "icv-bench" ".ckpt" in
-      let ckpt =
-        let r =
-          Mc.Xici.run ~limits:(limits_of budgets) ~checkpoint_path:path
-            ~checkpoint_every:1 (model ())
-        in
-        Format.printf "  %-10s %a   [checkpoint every iteration]@.%!" name
-          Mc.Report.pp_row r;
-        r
-      in
-      let size =
-        if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
-      in
-      Format.printf
-        "  %-10s checkpoint overhead: %+.2fs (%.1f%%), last snapshot %d \
-         bytes@.%!"
-        name
-        (ckpt.Mc.Report.time_s -. cold.Mc.Report.time_s)
-        (if cold.Mc.Report.time_s > 0.0 then
-           100.0
-           *. (ckpt.Mc.Report.time_s -. cold.Mc.Report.time_s)
-           /. cold.Mc.Report.time_s
-         else 0.0)
-        size;
-      if Sys.file_exists path then Sys.remove path)
-    cases;
-  (* Escalation: initial budget at ~1/4 of what the cold run needed, so
-     the first resilient attempt dies and the driver must recover. *)
-  head "-- escalating-budget recovery (first attempt under-budgeted) --";
-  List.iter
-    (fun (name, model) ->
-      let cold_model = model () in
-      let baseline = Bdd.created_nodes (Mc.Model.man cold_model) in
-      ignore (Mc.Xici.run ~limits:(limits_of budgets) cold_model);
-      let needed = Bdd.created_nodes (Mc.Model.man cold_model) - baseline in
-      let path = Filename.temp_file "icv-bench" ".ckpt" in
-      (* a fresh (absent) path: the first attempt must start cold, not
-         trip over an empty pre-created temp file *)
-      Sys.remove path;
-      let outcome =
-        Mc.Resilient.run ~retries:4 ~budget_escalation:2.0
-          ~max_created_nodes:(max 1 (needed / 4))
-          ~max_seconds:budgets.max_seconds ~max_live_nodes:budgets.max_live
-          ~max_iterations:budgets.max_iterations ~checkpoint:path (model ())
-      in
-      Format.printf "  %s (cold run needed %d nodes):@.@[<v 2>  %a@]@.%!" name
-        needed Mc.Resilient.pp_outcome outcome;
-      if Sys.file_exists path then Sys.remove path)
-    [ ("fifo-10", List.assoc "fifo-10" cases) ]
-
-(* Parallel portfolio racing vs what a single-threaded driver must do:
-   run the same configs one at a time (in portfolio order) until one
-   decides.  Wall-clock only -- node counts live in worker managers.
-   The per-model rows land in BENCH_parallel.json under --json; commit
-   a dated copy under bench/trajectory/ to pin a trajectory point. *)
-let bench_parallel budgets ~domains =
-  head "=== Parallel: portfolio race on %d domains vs sequential sweep ==="
-    domains;
-  let cases =
-    [
-      ( "fifo-10",
-        fun () ->
-          Models.Typed_fifo.make { Models.Typed_fifo.default with depth = 10 }
-      );
-      ( "network-4",
-        fun () -> Models.Network.make { Models.Network.procs = 4; bug = false }
-      );
-      ( "network-7",
-        fun () -> Models.Network.make { Models.Network.procs = 7; bug = false }
-      );
-      ("filter-8", fun () -> filter_model 8 false);
-      ("cpu-2R1B", fun () -> cpu_model 2 1);
-      (* Buggy variants: the portfolio's raison d'etre.  The sequential
-         sweep pays for XICI first, but on violated properties another
-         config often reaches the counterexample sooner and the race
-         returns as soon as it does. *)
-      ( "network-7-bug",
-        fun () -> Models.Network.make { Models.Network.procs = 7; bug = true }
-      );
-      ( "cpu-2R2B-bug",
-        fun () ->
-          Models.Pipeline_cpu.make
-            {
-              Models.Pipeline_cpu.regs = 2;
-              width = 2;
-              assisted = false;
-              bug = true;
-            } );
-    ]
-  in
-  List.iter
-    (fun (name, make) ->
-      let seq_time = ref 0.0 in
-      let seq_status = ref "exceeded" in
-      let seq_configs = ref 0 in
-      (try
-         List.iter
-           (fun (c : Mc.Parallel.config) ->
-             let model = make () in
-             let t0 = Unix.gettimeofday () in
-             let r =
-               Mc.Runner.run ~limits:(limits_of budgets)
-                 ?xici_cfg:c.Mc.Parallel.xici_cfg
-                 ?termination:c.Mc.Parallel.termination
-                 ?var_choice:c.Mc.Parallel.var_choice c.Mc.Parallel.meth model
-             in
-             seq_time := !seq_time +. (Unix.gettimeofday () -. t0);
-             incr seq_configs;
-             if Mc.Parallel.decided r then begin
-               seq_status := Mc.Report.status_string r;
-               raise Exit
-             end)
-           Mc.Parallel.default_portfolio
-       with Exit -> ());
-      let res =
-        Mc.Parallel.portfolio ~domains ~limits:(limits_of budgets) (make ())
-      in
-      let winner_label, winner_status =
-        match res.Mc.Parallel.winner with
-        | Some (c, r) -> (c.Mc.Parallel.label, Mc.Report.status_string r)
-        | None -> ("-", "exceeded")
-      in
-      let speedup =
-        if res.Mc.Parallel.wall_time_s > 0.0 then
-          !seq_time /. res.Mc.Parallel.wall_time_s
-        else 0.0
-      in
-      Format.printf
-        "  %-10s seq %6.2fs (%d config%s, %s)   parallel %6.2fs (winner %s, \
-         %s)   speedup %.2fx@.%!"
-        name !seq_time !seq_configs
-        (if !seq_configs = 1 then "" else "s")
-        !seq_status res.Mc.Parallel.wall_time_s winner_label winner_status
-        speedup;
-      if !json_mode then
-        json_rows :=
-          Obs.Json.Obj
-            [
-              ("model", Obs.Json.String name);
-              ("domains", Obs.Json.Int res.Mc.Parallel.domains_used);
-              ("sequential_seconds", Obs.Json.Float !seq_time);
-              ("sequential_configs", Obs.Json.Int !seq_configs);
-              ("sequential_status", Obs.Json.String !seq_status);
-              ( "parallel_wall_seconds",
-                Obs.Json.Float res.Mc.Parallel.wall_time_s );
-              ("winner", Obs.Json.String winner_label);
-              ("winner_status", Obs.Json.String winner_status);
-              ("speedup", Obs.Json.Float speedup);
-            ]
-          :: !json_rows)
-    cases
-
 (* Batch verification: every conjunct of a family's property verified
    as its own property in one pooled Mc.Batch run (shared manager,
    proven invariants pooled) vs the n-fold sequential unrolling -- a
@@ -794,7 +619,7 @@ let bench_batch budgets ~quick =
    deliberately tiny daemon showing that excess submissions are
    rejected explicitly instead of queueing without bound.  Wall-clock
    jobs/sec; verdict work is the same fifo/filter jobs icv runs. *)
-let bench_daemon _budgets ~domains ~quick =
+let bench_daemon _budgets ~quick =
   head "=== Daemon: throughput under many-client load ===";
   let dir = Filename.temp_file "icvd-bench" "" in
   Sys.remove dir;
@@ -899,13 +724,14 @@ let bench_daemon _budgets ~domains ~quick =
   (* Throughput row *)
   let sock = Filename.concat dir "icvd-bench.sock" in
   let clients = 4 in
+  let workers = 2 in
   let per_client = if quick then 8 else 32 in
   let throughput_row =
     with_daemon
       {
         Srv.Daemon.default_config with
         socket_path = Some sock;
-        workers = max 2 domains;
+        workers;
         queue_capacity = 4096;
       }
       (fun () ->
@@ -933,7 +759,7 @@ let bench_daemon _budgets ~domains ~quick =
           "  %d clients x %d jobs on %d workers: %d resolved, %d rejected, \
            %.2fs wall, %.1f jobs/s@.  queue p50/p99 %.3fs/%.3fs, e2e p50/p99 \
            %.3fs/%.3fs@.%!"
-          clients per_client (max 2 domains) resolved rejected wall jps
+          clients per_client workers resolved rejected wall jps
           (percentile queue_s 0.50) (percentile queue_s 0.99)
           (percentile e2e_s 0.50) (percentile e2e_s 0.99);
         Obs.Json.Obj
@@ -941,7 +767,7 @@ let bench_daemon _budgets ~domains ~quick =
              ("scenario", Obs.Json.String "throughput");
              ("clients", Obs.Json.Int clients);
              ("jobs_per_client", Obs.Json.Int per_client);
-             ("workers", Obs.Json.Int (max 2 domains));
+             ("workers", Obs.Json.Int workers);
              ("resolved", Obs.Json.Int resolved);
              ("rejected", Obs.Json.Int rejected);
              ("wall_seconds", Obs.Json.Float wall);
@@ -1006,72 +832,10 @@ let ablations budgets =
   ablation_pairbound budgets
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table                  *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let quick_limits man =
-    Mc.Limits.start ~max_iterations:50 ~max_live_nodes:1_000_000 man
-  in
-  let fifo =
-    Staged.stage (fun () ->
-        ignore
-          (Mc.Xici.run ~limits:quick_limits
-             (Models.Typed_fifo.make Models.Typed_fifo.default)))
-  in
-  let network =
-    Staged.stage (fun () ->
-        ignore
-          (Mc.Xici.run ~limits:quick_limits
-             (Models.Network.make { Models.Network.procs = 2; bug = false })))
-  in
-  let filter =
-    Staged.stage (fun () ->
-        ignore (Mc.Xici.run ~limits:quick_limits (filter_model 4 false)))
-  in
-  let cpu =
-    Staged.stage (fun () ->
-        ignore (Mc.Xici.run ~limits:quick_limits (cpu_model 2 1)))
-  in
-  let tests =
-    Test.make_grouped ~name:"tables"
-      [
-        Test.make ~name:"table1-fifo-xici" fifo;
-        Test.make ~name:"table1-network-xici" network;
-        Test.make ~name:"table2-filter-xici" filter;
-        Test.make ~name:"table3-cpu-xici" cpu;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  head "=== Bechamel micro-benchmarks (monotonic clock, ns/run) ===";
-  Hashtbl.iter
-    (fun _instance tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Format.printf "  %-28s %12.0f ns/run@." name est
-          | Some _ | None -> Format.printf "  %-28s (no estimate)@." name)
-        tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run tables run_ablations run_bechamel run_checkpoint parallel daemon
-    batch max_live max_seconds quick json =
+let run tables run_ablations daemon batch max_live max_seconds quick json =
   json_mode := json;
   let budgets =
     if quick then
@@ -1079,8 +843,7 @@ let run tables run_ablations run_bechamel run_checkpoint parallel daemon
     else { max_live; max_seconds; max_iterations = 100 }
   in
   let all =
-    tables = [] && (not run_ablations) && (not run_bechamel)
-    && (not run_checkpoint) && parallel = 0 && (not daemon) && not batch
+    tables = [] && (not run_ablations) && (not daemon) && not batch
   in
   let wants t = all || List.mem t tables in
   if wants 1 then
@@ -1090,16 +853,11 @@ let run tables run_ablations run_bechamel run_checkpoint parallel daemon
   if wants 3 then
     with_json_artifact "BENCH_table3.json" (fun () -> table3 budgets);
   if run_ablations || all then ablations budgets;
-  if run_checkpoint || all then bench_checkpoint budgets;
-  if parallel > 0 then
-    with_json_artifact "BENCH_parallel.json" (fun () ->
-        bench_parallel budgets ~domains:(max 2 parallel));
   if daemon then
     with_json_artifact "BENCH_daemon.json" (fun () ->
-        bench_daemon budgets ~domains:(max 2 parallel) ~quick);
+        bench_daemon budgets ~quick);
   if batch then
     with_json_artifact "BENCH_batch.json" (fun () -> bench_batch budgets ~quick);
-  if run_bechamel || all then bechamel_suite ();
   head "done."
 
 let () =
@@ -1109,26 +867,6 @@ let () =
   in
   let ablations_flag =
     Arg.(value & flag & info [ "ablations" ] ~doc:"Run ablation benchmarks.")
-  in
-  let bechamel =
-    Arg.(value & flag & info [ "bechamel" ] ~doc:"Run Bechamel micro-suite.")
-  in
-  let checkpoint =
-    Arg.(
-      value & flag
-      & info [ "checkpoint-overhead" ]
-          ~doc:
-            "Measure checkpointing overhead and escalating-budget recovery \
-             cost.")
-  in
-  let parallel =
-    Arg.(
-      value & opt int 0
-      & info [ "parallel" ] ~docv:"N"
-          ~doc:
-            "Benchmark the parallel portfolio on $(docv) worker domains \
-             against the sequential config sweep (Table-1 models).  Writes \
-             BENCH_parallel.json under --json.")
   in
   let daemon =
     Arg.(
@@ -1177,7 +915,7 @@ let () =
     Cmd.v
       (Cmd.info "bench" ~doc:"Regenerate the paper's tables and ablations")
       Term.(
-        const run $ tables $ ablations_flag $ bechamel $ checkpoint
-        $ parallel $ daemon $ batch $ max_live $ max_seconds $ quick $ json)
+        const run $ tables $ ablations_flag $ daemon $ batch $ max_live
+        $ max_seconds $ quick $ json)
   in
   exit (Cmd.eval cmd)

@@ -74,13 +74,10 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
     trace max_seconds max_live grow_threshold parallel batch props
     portfolio resilient retries budget_escalation max_created checkpoint checkpoint_every
     resume fallback stats trace_out trace_format verbose =
-  (* Plain verification is sequential, so extra domains would be
-     silently idle: only the modes that use them accept them. *)
-  if parallel >= 2 && not (portfolio || batch || resilient || fallback <> "")
-  then
-    failwith
-      "--parallel N (N >= 2) needs one of --portfolio, --batch, \
-       --resilient or --fallback";
+  (* Only the portfolio and batch strategies run on worker domains;
+     anything else would leave the extra domains silently idle. *)
+  if parallel >= 2 && not (portfolio || batch) then
+    failwith "--parallel N (N >= 2) needs --portfolio or --batch";
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -105,130 +102,116 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
       print_trace model tr
     | Mc.Report.Violated _ | Mc.Report.Proved | Mc.Report.Exceeded _ -> ()
   in
+  let strategies () =
+    if batch then begin
+      let meth =
+        match Mc.Runner.of_name meth_name with
+        | Some m -> m
+        | None ->
+          failwith
+            (Printf.sprintf "--batch needs a single --method, not %S" meth_name)
+      in
+      let all_props = Mc.Batch.of_goods model in
+      let find s =
+        let s = String.trim s in
+        let found =
+          match int_of_string_opt s with
+          | Some i -> List.nth_opt all_props i
+          | None -> List.find_opt (fun p -> p.Mc.Batch.pname = s) all_props
+        in
+        match found with
+        | Some p -> p
+        | None ->
+          failwith
+            (Printf.sprintf
+               "unknown property %S (the model has %d conjuncts, p0..p%d)" s
+               (List.length all_props)
+               (List.length all_props - 1))
+      in
+      let props = if props = [] then all_props else List.map find props in
+      [ Mc.Job.Batch { meth; props; domains = max 1 parallel } ]
+    end
+    else if portfolio then [ Mc.Job.Portfolio { domains = max 2 parallel } ]
+    else if String.lowercase_ascii meth_name = "all" then
+      List.map (fun m -> Mc.Job.Method m) Mc.Runner.all
+    else
+      match Mc.Runner.of_name meth_name with
+      | Some m -> [ Mc.Job.Method m ]
+      | None -> failwith (Printf.sprintf "unknown method %S" meth_name)
+  in
+  (* One attempt per strategy; the batch and portfolio strategies print
+     their per-property or per-config detail above the verdict. *)
+  let print_attempt strategy (r : Mc.Job.result) =
+    match (r.Mc.Job.batch, r.Mc.Job.portfolio) with
+    | Some res, _ ->
+      Format.printf "batch: %d propertie(s) on %d domain(s), %.2fs wall@."
+        (List.length res.Mc.Batch.items) res.Mc.Batch.domains_used
+        res.Mc.Batch.wall_time_s;
+      Format.printf "%s@." Mc.Report.header;
+      List.iter
+        (fun (it : Mc.Batch.item) ->
+          Format.printf "%a@." Mc.Report.pp_row it.Mc.Batch.report;
+          show_trace it.Mc.Batch.prop.Mc.Batch.pname it.Mc.Batch.report)
+        res.Mc.Batch.items;
+      Format.printf "invariants shared %d@."
+        res.Mc.Batch.stats.Mc.Batch.invariants_shared
+    | None, Some res ->
+      Format.printf "portfolio: %d configs on %d domains, %.2fs wall@."
+        (List.length res.Mc.Parallel.reports)
+        res.Mc.Parallel.domains_used res.Mc.Parallel.wall_time_s;
+      Format.printf "%s@." Mc.Report.header;
+      List.iter
+        (fun (_, r) -> Format.printf "%a@." Mc.Report.pp_row r)
+        res.Mc.Parallel.reports;
+      (match res.Mc.Parallel.winner with
+      | Some (c, r) ->
+        Format.printf "winner: %s (%s)@." c.Mc.Parallel.label
+          (Mc.Report.status_string r);
+        show_trace c.Mc.Parallel.label r
+      | None -> Format.printf "no configuration decided@.")
+    | None, None ->
+      (* --resume is opportunistic: an unusable snapshot means a cold
+         start with a warning, not a failed run. *)
+      (match (resume, strategy) with
+      | Some path, Mc.Job.Method Mc.Runner.Xici when r.Mc.Job.resumed_at = None
+        ->
+        Format.eprintf "icv: checkpoint %s missing or unusable; starting cold@."
+          path
+      | _ -> ());
+      Format.printf "%a@." Mc.Report.pp_row r.Mc.Job.report;
+      show_trace r.Mc.Job.report.Mc.Report.method_name r.Mc.Job.report
+  in
   Format.printf "model: %s@." model.Mc.Model.name;
   with_tracing trace_out trace_format (fun () ->
-  if batch then begin
-    (* Batch mode: verify the model's property conjuncts as separate
-       properties in one orchestrated run (shared images and pooled
-       invariants). *)
-    let meth =
-      match Mc.Runner.of_name meth_name with
-      | Some m -> m
-      | None ->
-        failwith
-          (Printf.sprintf "--batch needs a single --method, not %S" meth_name)
-    in
-    let all_props = Mc.Batch.of_goods model in
-    let selected =
-      if props = [] then all_props
-      else
-        List.map
-          (fun s ->
-            let s = String.trim s in
-            let found =
-              match int_of_string_opt s with
-              | Some i -> List.nth_opt all_props i
-              | None ->
-                List.find_opt (fun p -> p.Mc.Batch.pname = s) all_props
-            in
-            match found with
-            | Some p -> p
-            | None ->
-              failwith
-                (Printf.sprintf
-                   "unknown property %S (the model has %d conjuncts, p0..p%d)"
-                   s (List.length all_props)
-                   (List.length all_props - 1)))
-          props
-    in
-    let res =
-      Mc.Batch.run ~limits ~meth ~xici_cfg ~domains:(max 1 parallel) model
-        selected
-    in
-    Format.printf "batch: %d propertie(s) on %d domain(s), %.2fs wall@."
-      (List.length selected) res.Mc.Batch.domains_used
-      res.Mc.Batch.wall_time_s;
-    Format.printf "%s@." Mc.Report.header;
-    List.iter
-      (fun (it : Mc.Batch.item) ->
-        Format.printf "%a@." Mc.Report.pp_row it.Mc.Batch.report;
-        show_trace it.Mc.Batch.prop.Mc.Batch.pname it.Mc.Batch.report)
-      res.Mc.Batch.items;
-    Format.printf "invariants shared %d@."
-      res.Mc.Batch.stats.Mc.Batch.invariants_shared
-  end
-  else if portfolio then begin
-    (* Portfolio mode: race the default configuration mix on worker
-       domains; first sound verdict wins, losers are cancelled. *)
-    let domains = max 2 parallel in
-    let res = Mc.Parallel.portfolio ~domains ~limits model in
-    Format.printf "portfolio: %d configs on %d domains, %.2fs wall@."
-      (List.length res.Mc.Parallel.reports)
-      res.Mc.Parallel.domains_used res.Mc.Parallel.wall_time_s;
-    Format.printf "%s@." Mc.Report.header;
-    List.iter
-      (fun (_, r) -> Format.printf "%a@." Mc.Report.pp_row r)
-      res.Mc.Parallel.reports;
-    match res.Mc.Parallel.winner with
-    | Some (c, r) ->
-      Format.printf "winner: %s (%s)@." c.Mc.Parallel.label
-        (Mc.Report.status_string r);
-      show_trace c.Mc.Parallel.label r
-    | None -> Format.printf "no configuration decided@."
-  end
-  else if resilient || fallback <> "" then begin
-    (* Resilient mode: escalating-budget retries + portfolio fallback,
-       with the per-attempt log in place of a single result row. *)
+  if (resilient || fallback <> "") && not (batch || portfolio) then begin
+    (* The escalating-budget, falling-back ladder, with the per-attempt
+       log in place of a single result row. *)
     let meths =
       if fallback = "" then
         match Mc.Runner.of_name meth_name with
-        | Some m when m <> Mc.Runner.Xici -> [ m ] @ Mc.Resilient.default_fallback
-        | _ -> Mc.Resilient.default_fallback
+        | Some m when m <> Mc.Runner.Xici -> m :: Mc.Job.default_fallback
+        | _ -> Mc.Job.default_fallback
       else parse_fallback fallback
     in
     let outcome =
-      Mc.Resilient.run ~retries ~budget_escalation
-        ?max_created_nodes:max_created ~max_seconds ~max_live_nodes:max_live
-        ~max_iterations:200 ~fallback:meths ?checkpoint ~xici_cfg
-        ~domains:parallel model
+      Mc.Job.run ~retries ~budget_escalation ?max_created_nodes:max_created
+        ~max_seconds ~max_live_nodes:max_live ~max_iterations:200
+        ~fallback:meths ?checkpoint ~xici_cfg model
     in
     Format.printf "%s@." Mc.Report.header;
-    Format.printf "@[<v>%a@]@." Mc.Resilient.pp_outcome outcome;
-    show_trace outcome.Mc.Resilient.final.Mc.Report.method_name
-      outcome.Mc.Resilient.final
+    Format.printf "@[<v>%a@]@." Mc.Job.pp_outcome outcome;
+    show_trace outcome.Mc.Job.final.Mc.Report.method_name
+      outcome.Mc.Job.final
   end
   else begin
-    let methods =
-      if String.lowercase_ascii meth_name = "all" then Mc.Runner.all
-      else
-        match Mc.Runner.of_name meth_name with
-        | Some m -> [ m ]
-        | None -> failwith (Printf.sprintf "unknown method %S" meth_name)
-    in
-    let resume_from =
-      (* A missing/truncated/corrupt checkpoint degrades to a cold
-         start (with a warning): --resume is opportunistic, and failing
-         the whole run over an unusable snapshot would make resumption
-         strictly worse than never checkpointing. *)
-      Option.bind resume (fun path ->
-          match Mc.Checkpoint.load_opt (Mc.Model.man model) path with
-          | Some cp -> Some cp
-          | None ->
-            Format.eprintf
-              "icv: checkpoint %s missing or unusable; starting cold@." path;
-            None)
-    in
-    Format.printf "%s@." Mc.Report.header;
+    let strategies = strategies () in
+    if not (batch || portfolio) then Format.printf "%s@." Mc.Report.header;
     List.iter
-      (fun meth ->
-        let r =
-          Mc.Runner.run ~limits ~xici_cfg
-            ?checkpoint_path:checkpoint ~checkpoint_every ?resume_from meth
-            model
-        in
-        Format.printf "%a@." Mc.Report.pp_row r;
-        show_trace (Mc.Runner.name meth) r)
-      methods
+      (fun strategy ->
+        print_attempt strategy
+          (Mc.Job.attempt ~limits ~xici_cfg ?checkpoint ~checkpoint_every
+             ?resume strategy model))
+      strategies
   end);
   if stats then Mc.Telemetry.print_summary (Mc.Model.man model)
 
@@ -557,10 +540,8 @@ let () =
           ~doc:
             "Worker domains.  With --portfolio, race configurations on \
              $(docv) domains; with --batch, schedule the properties onto \
-             $(docv) domains; with --resilient or --fallback, first race \
-             the fallback portfolio on $(docv) domains.  Plain \
-             verification is sequential, so $(docv) >= 2 without one of \
-             those four flags is an error.")
+             $(docv) domains.  Every other mode is sequential, so $(docv) \
+             >= 2 without one of those two flags is an error.")
   in
   let batch =
     Arg.(
@@ -597,8 +578,8 @@ let () =
       value & flag
       & info [ "resilient" ]
           ~doc:
-            "Run under the resilient driver: escalating-budget retries and \
-             portfolio fallback, printing the per-attempt log.")
+            "Run the job ladder: escalating-budget retries and method \
+             fallback, printing the per-attempt log.")
   in
   let retries =
     Arg.(
@@ -644,7 +625,7 @@ let () =
       value & opt string ""
       & info [ "fallback" ] ~docv:"M1,M2,..."
           ~doc:
-            "Portfolio for resilient mode (comma-separated method names, \
+            "Fallback methods for resilient mode (comma-separated names, \
              tried in order).  Implies --resilient.")
   in
   let stats =

@@ -12,7 +12,7 @@
      must be consistent with the reference, and an XICI-derived fixpoint
      must be an inductive strengthening of the property.
 
-   The Resilient oracle additionally kills the first XICI attempt with
+   The job-ladder oracle additionally kills the first XICI attempt with
    an injected fault and requires the checkpoint-resumed retry to land
    on the reference verdict. *)
 
@@ -200,8 +200,8 @@ let check_derived ~expected spec =
             detail = "derived invariants are not preserved by the machine" })
   | _, None -> None
 
-(* Resilient driver under fire: measure a cold XICI run's node cost,
-   then re-run under the resilient driver with a one-shot fault injected
+(* The job ladder under fire: measure a cold XICI run's node cost,
+   then re-run under [Mc.Job.run] with a one-shot fault injected
    halfway through that cost and a checkpoint to resume from.  The
    recovered verdict must match the reference. *)
 let check_resilient ~expected spec =
@@ -228,12 +228,12 @@ let check_resilient ~expected spec =
         Bdd.set_fault_hook man None;
         cleanup path)
       (fun () ->
-        Mc.Resilient.run ~retries:3 ~max_iterations:100
+        Mc.Job.run ~retries:3 ~max_iterations:100
           ~fallback:[ Mc.Runner.Xici; Mc.Runner.Forward ]
           ~checkpoint:path model)
   in
   check_report ~expected ~allow_exceeded:false "resilient-kill-resume" model
-    outcome.Mc.Resilient.final
+    outcome.Mc.Job.final
 
 (* --- the differential check ------------------------------------------ *)
 

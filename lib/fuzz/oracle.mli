@@ -4,7 +4,7 @@
     disagreement with the explicit-state reference of {!Spec} is a bug
     by construction.  {!check_spec} runs every method (Explicit,
     Forward, Backward, FD, IDI, ICI, XICI across policy configurations
-    and termination tests, Induction, and the Resilient driver under an
+    and termination tests, Induction, and the {!Mc.Job.run} ladder under an
     injected mid-run kill with checkpoint resume) and cross-checks the
     verdict, the concrete replayability of any counterexample trace,
     and the inductiveness of any derived invariant list. *)

@@ -1,7 +1,7 @@
 (* On-disk snapshots of XICI fixpoint state, so a run killed by a
    resource budget resumes at its last completed iteration instead of
    iteration 0 (the paper's "Exceeded 60MB" rows lose all G_i progress;
-   this module is how the resilient driver keeps it).
+   this module is how the [Job.run] ladder keeps it).
 
    Format (text, versioned):
 

@@ -17,7 +17,7 @@ val iteration :
     see the same record. *)
 
 val attempt : label:string -> detail:string -> unit
-(** Info-level resilient-driver attempt report. *)
+(** Info-level report of one {!Job.run} attempt. *)
 
 val degraded : what:string -> detail:string -> unit
 (** Warning-level report that a recovery path degraded gracefully

@@ -249,11 +249,6 @@ type result = {
   wall_time_s : float;
 }
 
-let decided (r : Report.t) =
-  match r.Report.status with
-  | Report.Proved | Report.Violated _ -> true
-  | Report.Exceeded _ -> false
-
 module M = struct
   let reg = Obs.Registry.default
   let portfolio_runs = Obs.Registry.counter reg "parallel.portfolio_runs"
@@ -395,7 +390,7 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
         let report = run_config c in
         let report = Report.relabel report ~method_name:c.label in
         results.(i) <- Some report;
-        if decided report then begin
+        if Report.decided report then begin
           if Atomic.compare_and_set winner (-1) i then Atomic.set cancel true
         end
         else if Atomic.get cancel then Obs.Registry.incr M.cancelled;

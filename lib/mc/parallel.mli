@@ -71,9 +71,6 @@ type result = {
   wall_time_s : float;
 }
 
-val decided : Report.t -> bool
-(** Proved or Violated (a sound verdict, as opposed to Exceeded). *)
-
 val portfolio :
   ?domains:int ->
   ?configs:config list ->

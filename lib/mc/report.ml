@@ -26,6 +26,9 @@ type t = {
 
 let is_proved r = match r.status with Proved -> true | Violated _ | Exceeded _ -> false
 
+let decided r =
+  match r.status with Proved | Violated _ -> true | Exceeded _ -> false
+
 let status_string r =
   match r.status with
   | Proved -> "proved"
@@ -69,7 +72,7 @@ let observe_set peak (xs : Bdd.t list) =
       List.sort (fun a b -> compare b a) (List.map Bdd.size xs)
   end
 
-(* Attempt logs (Resilient) tag rows with the attempt number/budget
+(* Attempt logs (Job.run) tag rows with the attempt number/budget
    without rebuilding the report. *)
 let relabel r ~method_name = { r with method_name }
 

@@ -22,6 +22,10 @@ type t = {
 }
 
 val is_proved : t -> bool
+
+val decided : t -> bool
+(** Proved or Violated: a sound verdict, as opposed to Exceeded. *)
+
 val status_string : t -> string
 
 val conjuncts_string : int list -> string

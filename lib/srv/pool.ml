@@ -3,7 +3,9 @@
    Each worker is an OCaml 5 domain running a pop/run loop over the
    admission queue.  Models travel as frozen strings and every worker
    thaws its own private copy, so the shared-nothing discipline of
-   [Mc.Parallel] is preserved.
+   [Mc.Parallel] is preserved.  A dispatch runs in three phases: thaw,
+   solve (one [Mc.Job.attempt], which also turns a blown budget into an
+   Exceeded report) and epilogue (resolve or requeue the job).
 
    Events reach the daemon through a mutex-guarded queue plus a
    self-pipe: [emit] pushes the event, then writes one byte to the
@@ -305,6 +307,10 @@ let note_pressure t p =
 
 (* --- synthesized failure reports ------------------------------------ *)
 
+(* Only for a job that never got a verdict from a solve: its deadline
+   expired in the queue, or it ran out of attempts.  Nothing was
+   consumed, so the counts are zero and the time is the job's age.  A
+   solve that blows its budget reports through [Mc.Job.attempt]. *)
 let failed_report (job : job) reason =
   {
     Mc.Report.model = Jobspec.canonical job.spec.Jobspec.model;
@@ -317,33 +323,6 @@ let failed_report (job : job) reason =
     peak_live_nodes = 0;
     time_s = Mc.Monotonic.now () -. job.submitted_at;
   }
-
-(* One wire verdict for a whole batch: the first violated item's report
-   if any (it carries the trace), else the first exceeded, else the
-   (proved) first item's; relabelled so the method column says it stood
-   for the batch.  The per-property detail travels separately in the
-   [Batch_finished] event. *)
-let batch_report (job : job) meth (res : Mc.Batch.result) =
-  let pick p =
-    List.find_opt
-      (fun (it : Mc.Batch.item) -> p it.Mc.Batch.report.Mc.Report.status)
-      res.Mc.Batch.items
-  in
-  let rep =
-    match
-      ( pick (function Mc.Report.Violated _ -> true | _ -> false),
-        pick (function Mc.Report.Exceeded _ -> true | _ -> false),
-        res.Mc.Batch.items )
-    with
-    | Some it, _, _ | None, Some it, _ | None, None, it :: _ ->
-      it.Mc.Batch.report
-    | None, None, [] -> failed_report job "empty batch"
-  in
-  Mc.Report.relabel rep
-    ~method_name:
-      (Printf.sprintf "batch[%d]:%s"
-         (List.length res.Mc.Batch.items)
-         (Mc.Runner.name meth))
 
 (* --- exactly-once job resolution ------------------------------------ *)
 
@@ -461,6 +440,187 @@ let limits_for t (job : job) ~remaining ~pressure:p man =
   Mc.Limits.start ?max_live_nodes:max_live ?max_seconds:remaining
     ~max_iterations:200 man
 
+(* The thaw phase.  Scratch-manager reuse: consecutive jobs on the same
+   declaration skip the thaw and keep the previous job's unique/computed
+   tables warm.  Only at pressure 0 -- under pressure the scratch is
+   dropped so a retained manager cannot hold node capacity hostage.
+   Per-job state cannot leak through the reused manager: the fault hook
+   is reinstalled by [install_hooks] with this job's closure, the
+   iteration sink is per-job (cleared after the solve), and the progress
+   hook installed here closes over this same slot.  The heartbeat hook
+   goes onto the fresh manager before the model is rebuilt, so the thaw
+   of a large model beats too. *)
+let thaw t slot (job : job) ~pressure:p tracer =
+  if p >= 1 then slot.scratch <- None;
+  let key = job.model_key in
+  let t_thaw = Mc.Monotonic.now () in
+  let model =
+    Obs.Tracer.with_span tracer ~cat:"srv"
+      ~args:(fun () -> [ ("model_key", Obs.Json.String key) ])
+      "job.thaw"
+      (fun () ->
+        match slot.scratch with
+        | Some (k, m) when k = key ->
+          Obs.Registry.incr t.manager_reuses;
+          beat t slot;
+          m
+        | _ ->
+          let m =
+            Mc.Parallel.thaw
+              ?cache_budget:(thaw_cache_budget ~pressure:p)
+              ~on_manager:(fun m ->
+                Bdd.set_progress_hook m
+                  (Some
+                     (fun m ->
+                       if not (Atomic.get slot.abandoned) then begin
+                         beat t slot;
+                         Atomic.set slot.live (Bdd.live_nodes m)
+                       end)))
+              job.frozen
+          in
+          if p = 0 then slot.scratch <- Some (key, m);
+          m)
+  in
+  Obs.Registry.observe t.thaw_ms (ms (Mc.Monotonic.now () -. t_thaw));
+  model
+
+(* This job's hooks on its manager: the fault hook turns the
+   supervisor's cancel into [Limits.Exceeded] and fires the test-only
+   fault spec (first attempt only, so the retry can demonstrate
+   recovery; installed after the thaw because injection offsets are
+   relative to the run proper); the iteration sink beats, arms an
+   iteration-triggered fault and streams progress.  Abandoned slots go
+   silent: the module comment promises late events from a zombie are
+   suppressed, so every hook checks the flag before beating or
+   emitting. *)
+let install_hooks t slot (job : job) ~attempt man =
+  let spec = job.spec in
+  let inject =
+    match spec.Jobspec.fault with
+    | Some f when attempt = 1 -> Some f
+    | _ -> None
+  in
+  let iter_armed = ref false in
+  let base_steps = Bdd.steps man in
+  Bdd.set_fault_hook man
+    (Some
+       (fun m ->
+         if Atomic.get slot.cancel then
+           raise (Mc.Limits.Exceeded "cancelled: hung worker");
+         match inject with
+         | None -> ()
+         | Some f ->
+           let fire =
+             !iter_armed
+             ||
+             match f.Jobspec.after_steps with
+             | Some n -> Bdd.steps m - base_steps >= n
+             | None -> false
+           in
+           if fire then (
+             match f.Jobspec.action with
+             | Jobspec.Crash -> raise Injected_crash
+             | Jobspec.Exceed -> raise (Mc.Limits.Exceeded "injected exceed"))));
+  Obs.Iterlog.clear ();
+  Obs.Iterlog.set_sink
+    (Some
+       (fun row ->
+         if not (Atomic.get slot.abandoned) then begin
+           beat t slot;
+           (match inject with
+           | Some { Jobspec.after_iterations = Some n; _ }
+             when row.Obs.Iterlog.iteration >= n ->
+             iter_armed := true
+           | _ -> ());
+           if spec.Jobspec.progress then emit t (Progress (job, row))
+         end))
+
+(* The solve phase: one [Mc.Job.attempt].  A batch job verifies one
+   property per conjunct of the model's good on this worker's manager
+   (single domain: the worker already is one, and staying on its manager
+   is what lets the fault hook cancel it); a retry re-runs the whole
+   batch, since the invariant pool is per-run.  An XICI retry resumes
+   from the job's checkpoint.  A portfolio runs on child domains with
+   private managers, so the hooks above never fire there; heartbeat,
+   cancel and progress are re-threaded through the portfolio's own
+   callbacks (else every portfolio job longer than the hang timeout
+   would be declared hung and its domains leaked). *)
+let solve t slot (job : job) ~attempt ~remaining ~pressure:p tracer model =
+  let spec = job.spec in
+  let strategy =
+    match spec.Jobspec.meth with
+    | Jobspec.Method meth when spec.Jobspec.batch ->
+      Mc.Job.Batch { meth; props = Mc.Batch.of_goods model; domains = 1 }
+    | Jobspec.Method meth -> Mc.Job.Method meth
+    | Jobspec.Portfolio ->
+      Mc.Job.Portfolio
+        { domains = (if p >= 2 then 1 else t.cfg.portfolio_domains) }
+  in
+  let xici_cfg =
+    Option.map
+      (fun g -> { Ici.Policy.default with Ici.Policy.grow_threshold = g })
+      spec.Jobspec.grow_threshold
+  in
+  let alive () = not (Atomic.get slot.abandoned) in
+  let resumed_at = ref 0 in
+  let t_solve = Mc.Monotonic.now () in
+  let r =
+    Obs.Tracer.with_span tracer ~cat:"srv"
+      ~args:(fun () ->
+        [
+          ("method", Obs.Json.String (Jobspec.meth_name spec.Jobspec.meth));
+          ("resumed_at", Obs.Json.Int !resumed_at);
+        ])
+      "job.solve"
+    @@ fun () ->
+    let r =
+      Mc.Job.attempt
+        ~limits:(limits_for t job ~remaining ~pressure:p)
+        ?xici_cfg ?checkpoint:job.checkpoint_path
+        ~checkpoint_every:t.cfg.checkpoint_every
+        ?resume:(if attempt > 1 then job.checkpoint_path else None)
+        ~should_cancel:(fun () -> Atomic.get slot.cancel)
+        ~on_progress:(fun ~live ->
+          if alive () then begin
+            beat t slot;
+            Atomic.set slot.live live
+          end)
+        ~iter_sink:(fun row ->
+          if alive () then begin
+            beat t slot;
+            if spec.Jobspec.progress then emit t (Progress (job, row))
+          end)
+        strategy model
+    in
+    resumed_at := Option.value ~default:0 r.Mc.Job.resumed_at;
+    r
+  in
+  Obs.Registry.observe t.solve_ms (ms (Mc.Monotonic.now () -. t_solve));
+  r
+
+(* The epilogue: resolve the job from the attempt's result. *)
+let epilogue t slot (job : job) ~attempt tracer (r : Mc.Job.result) =
+  Obs.Tracer.with_span tracer ~cat:"srv" "job.epilogue" @@ fun () ->
+  if Atomic.get slot.abandoned then
+    (* Zombie waking up: the supervisor already requeued this
+       execution's job and replaced the slot.  Anything we could say now
+       is a late event; drop it (the attempt stamp would make it a no-op
+       anyway). *)
+    ()
+  else if Atomic.get slot.cancel && not (Mc.Report.decided r.Mc.Job.report)
+  then
+    (* The supervisor declared us hung and the cancel landed: this
+       execution was aborted short of a verdict; retry if allowed. *)
+    requeue_or_fail t job ~attempt ~reason:"hung (cancelled mid-run)"
+  else
+    (* Either no cancel, or the cancel lost the race to a real
+       Proved/Violated verdict -- a decided report is sound regardless
+       of how slowly it arrived, so deliver it rather than burning an
+       attempt. *)
+    finish t slot job ~attempt
+      ~resumed_at:(Option.value ~default:0 r.Mc.Job.resumed_at)
+      ?batch:r.Mc.Job.batch r.Mc.Job.report
+
 let run_job t slot (job : job) ~attempt =
   let now = Mc.Monotonic.now () in
   let remaining = Option.map (fun d -> d -. now) job.deadline_at in
@@ -481,214 +641,15 @@ let run_job t slot (job : job) ~attempt =
           (Int64.of_float
              (Float.max 0.0 (job.dispatched_at -. job.submitted_at) *. 1e9));
     let p = note_pressure t (pressure t) in
-    (* Scratch-manager reuse: consecutive jobs on the same declaration
-       skip the thaw and keep the previous job's unique/computed tables
-       warm.  Only at pressure 0 -- under pressure the scratch is
-       dropped so a retained manager cannot hold node capacity hostage.
-       Per-job state cannot leak through the reused manager: the fault
-       hook is reinstalled below with this job's closure, the iteration
-       sink is per-job (cleared in the [finally]), and the progress
-       hook installed at thaw time closes over this same slot. *)
-    if p >= 1 then slot.scratch <- None;
-    let key = job.model_key in
-    (* The heartbeat hook goes onto the fresh manager before the model
-       is rebuilt, so the thaw of a large model beats too (the fault
-       hook waits until after the thaw: injection offsets are relative
-       to the run proper, and a cancel landing mid-thaw gains nothing
-       -- the thaw is bounded work). *)
-    let t_thaw = Mc.Monotonic.now () in
-    let model =
-      Obs.Tracer.with_span tracer ~cat:"srv"
-        ~args:(fun () -> [ ("model_key", Obs.Json.String key) ])
-        "job.thaw"
+    let model = thaw t slot job ~pressure:p tracer in
+    install_hooks t slot job ~attempt (Mc.Model.man model);
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Obs.Iterlog.set_sink None)
         (fun () ->
-          match slot.scratch with
-          | Some (k, m) when k = key ->
-            Obs.Registry.incr t.manager_reuses;
-            beat t slot;
-            m
-          | _ ->
-            let m =
-              Mc.Parallel.thaw
-                ?cache_budget:(thaw_cache_budget ~pressure:p)
-                ~on_manager:(fun m ->
-                  Bdd.set_progress_hook m
-                    (Some
-                       (fun m ->
-                         if not (Atomic.get slot.abandoned) then begin
-                           beat t slot;
-                           Atomic.set slot.live (Bdd.live_nodes m)
-                         end)))
-                job.frozen
-            in
-            if p = 0 then slot.scratch <- Some (key, m);
-            m)
+          solve t slot job ~attempt ~remaining ~pressure:p tracer model)
     in
-    Obs.Registry.observe t.thaw_ms (ms (Mc.Monotonic.now () -. t_thaw));
-    let man = Mc.Model.man model in
-    let spec = job.spec in
-    let resume_from =
-      match job.checkpoint_path with
-      | Some path when attempt > 1 -> Mc.Checkpoint.load_opt man path
-      | _ -> None
-    in
-    let resumed_at =
-      match resume_from with
-      | Some cp -> cp.Mc.Checkpoint.iterations
-      | None -> 0
-    in
-    (* Deterministic fault injection (tests/CI only): fires on the
-       first attempt so the retry can demonstrate recovery. *)
-    let inject =
-      match spec.Jobspec.fault with
-      | Some f when attempt = 1 -> Some f
-      | _ -> None
-    in
-    let iter_armed = ref false in
-    let base_steps = Bdd.steps man in
-    Bdd.set_fault_hook man
-      (Some
-         (fun m ->
-           if Atomic.get slot.cancel then
-             raise (Mc.Limits.Exceeded "cancelled: hung worker");
-           match inject with
-           | None -> ()
-           | Some f ->
-             let fire =
-               !iter_armed
-               ||
-               match f.Jobspec.after_steps with
-               | Some n -> Bdd.steps m - base_steps >= n
-               | None -> false
-             in
-             if fire then (
-               match f.Jobspec.action with
-               | Jobspec.Crash -> raise Injected_crash
-               | Jobspec.Exceed -> raise (Mc.Limits.Exceeded "injected exceed"))));
-    (* Abandoned slots go silent: the module comment promises late
-       events from a zombie are suppressed, so every hook (including
-       the progress hook installed at thaw time above) checks the flag
-       before beating or emitting. *)
-    Obs.Iterlog.clear ();
-    Obs.Iterlog.set_sink
-      (Some
-         (fun row ->
-           if not (Atomic.get slot.abandoned) then begin
-             beat t slot;
-             (match inject with
-             | Some { Jobspec.after_iterations = Some n; _ }
-               when row.Obs.Iterlog.iteration >= n ->
-               iter_armed := true
-             | _ -> ());
-             if spec.Jobspec.progress then emit t (Progress (job, row))
-           end));
-    Fun.protect
-      ~finally:(fun () -> Obs.Iterlog.set_sink None)
-      (fun () ->
-        let limits = limits_for t job ~remaining ~pressure:p in
-        let xici_cfg =
-          Option.map
-            (fun g -> { Ici.Policy.default with Ici.Policy.grow_threshold = g })
-            spec.Jobspec.grow_threshold
-        in
-        let batch_res = ref None in
-        let t_solve = Mc.Monotonic.now () in
-        let report =
-          Obs.Tracer.with_span tracer ~cat:"srv"
-            ~args:(fun () ->
-              [
-                ("method", Obs.Json.String (Jobspec.meth_name spec.Jobspec.meth));
-                ("resumed_at", Obs.Json.Int resumed_at);
-              ])
-            "job.solve"
-          @@ fun () ->
-          match spec.Jobspec.meth with
-          | Jobspec.Method meth when spec.Jobspec.batch -> (
-            (* Batch job: one property per conjunct of the model's
-               good, verified by [Mc.Batch.run] on this worker's
-               manager (single domain -- the worker already is one, and
-               keeping the run on [man] is what lets the fault hook
-               cancel it).  The aggregate report carries the verdict;
-               the per-property detail rides the [Batch_finished]
-               event.  A retry re-runs the whole batch: the invariant
-               pool is per-run, so there is nothing to resume. *)
-            try
-              let props = Mc.Batch.of_goods model in
-              let res = Mc.Batch.run ~limits ?xici_cfg ~meth model props in
-              batch_res := Some res;
-              batch_report job meth res
-            with
-            | Mc.Limits.Exceeded why ->
-              failed_report job (Printf.sprintf "exceeded: %s" why)
-            | Bdd.Node_budget_exhausted ->
-              failed_report job "node budget exhausted")
-          | Jobspec.Method meth -> (
-            try
-              Mc.Runner.run ~limits ?xici_cfg
-                ?checkpoint_path:job.checkpoint_path
-                ~checkpoint_every:t.cfg.checkpoint_every ?resume_from meth
-                model
-            with
-            | Mc.Limits.Exceeded why ->
-              failed_report job (Printf.sprintf "exceeded: %s" why)
-            | Bdd.Node_budget_exhausted ->
-              failed_report job "node budget exhausted")
-          | Jobspec.Portfolio -> (
-            let domains = if p >= 2 then 1 else t.cfg.portfolio_domains in
-            try
-              (* The portfolio runs on child domains with private
-                 managers, so the hooks installed above never fire;
-                 heartbeat and cancel are re-threaded through the
-                 portfolio's own callbacks (else every portfolio job
-                 longer than the hang timeout would be declared hung
-                 and its domains leaked).  [slot.live] holds the most
-                 recent reporter's count -- a per-slot gauge
-                 approximation, same as the sequential case. *)
-              let res =
-                Mc.Parallel.portfolio ~domains ~limits
-                  ~should_cancel:(fun () -> Atomic.get slot.cancel)
-                  ~on_progress:(fun ~live ->
-                    if not (Atomic.get slot.abandoned) then begin
-                      beat t slot;
-                      Atomic.set slot.live live
-                    end)
-                  ~iter_sink:(fun row ->
-                    if not (Atomic.get slot.abandoned) then begin
-                      beat t slot;
-                      if spec.Jobspec.progress then
-                        emit t (Progress (job, row))
-                    end)
-                  model
-              in
-              match res.Mc.Parallel.winner with
-              | Some (_, r) -> r
-              | None -> (
-                match res.Mc.Parallel.reports with
-                | (_, r) :: _ -> r
-                | [] -> failed_report job "empty portfolio")
-            with Mc.Limits.Exceeded why ->
-              failed_report job (Printf.sprintf "exceeded: %s" why))
-        in
-        Obs.Registry.observe t.solve_ms (ms (Mc.Monotonic.now () -. t_solve));
-        Obs.Tracer.with_span tracer ~cat:"srv" "job.epilogue" @@ fun () ->
-        if Atomic.get slot.abandoned then
-          (* Zombie waking up: the supervisor already requeued this
-             execution's job and replaced the slot.  Anything we could
-             say now is a late event; drop it (the attempt stamp would
-             make it a no-op anyway). *)
-          ()
-        else if Atomic.get slot.cancel && not (Mc.Parallel.decided report)
-        then
-          (* The supervisor declared us hung and the cancel landed:
-             this execution was aborted short of a verdict; retry if
-             allowed. *)
-          requeue_or_fail t job ~attempt ~reason:"hung (cancelled mid-run)"
-        else
-          (* Either no cancel, or the cancel lost the race to a real
-             Proved/Violated verdict -- a decided report is sound
-             regardless of how slowly it arrived, so deliver it rather
-             than burning an attempt. *)
-          finish t slot job ~attempt ~resumed_at ?batch:!batch_res report)
+    epilogue t slot job ~attempt tracer r
 
 (* --- worker lifecycle ------------------------------------------------ *)
 

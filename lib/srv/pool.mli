@@ -39,9 +39,11 @@
     only the current attempt may resolve the job, so a zombie waking
     after its job was requeued cannot touch the retry.  A cancel that
     loses the race to a real Proved/Violated verdict delivers that
-    verdict instead of voiding it.  Failed jobs retry up to
+    verdict instead of voiding it.  Crashed or hung jobs retry up to
     [max_attempts] total attempts; an XICI retry resumes from the
-    job's checkpoint when one was written. *)
+    job's checkpoint when one was written.  Each dispatch solves with
+    one {!Mc.Job.attempt}; this module only adds the supervision
+    across domains. *)
 
 exception Injected_crash
 (** Raised by a job's test-only fault spec; deliberately not caught by

@@ -514,7 +514,7 @@ let test_portfolio_matches_sequential () =
       match res.Mc.Parallel.winner with
       | None -> Alcotest.fail "portfolio should decide"
       | Some (_, r) ->
-        Alcotest.(check bool) "winner is decided" true (Mc.Parallel.decided r);
+        Alcotest.(check bool) "winner is decided" true (Mc.Report.decided r);
         Alcotest.(check bool) "verdict agrees with sequential" true
           (Mc.Report.is_proved r = Mc.Report.is_proved seq))
     [ 2; 3 ]
@@ -549,7 +549,7 @@ let test_portfolio_liveness_hooks () =
   (match res.Mc.Parallel.winner with
   | Some (_, r) ->
     Alcotest.(check bool) "hooks do not perturb the verdict" true
-      (Mc.Parallel.decided r)
+      (Mc.Report.decided r)
   | None -> Alcotest.fail "portfolio should still decide");
   Alcotest.(check bool) "iteration rows streamed from worker domains" true
     (Atomic.get rows > 0)
@@ -568,7 +568,7 @@ let test_portfolio_external_cancel () =
   List.iter
     (fun (_, r) ->
       Alcotest.(check bool) "nothing decided under external cancel" true
-        (not (Mc.Parallel.decided r)))
+        (not (Mc.Report.decided r)))
     res.Mc.Parallel.reports
 
 let test_validate_rejects_bogus () =

@@ -1,7 +1,7 @@
 (* Resilience-layer tests: monotonic clock, budget-guard chaining,
    checkpoint save/load/corruption handling, fault-injected kill +
-   resume, and the resilient driver's escalating budgets and portfolio
-   fallback.
+   resume, and the job driver ([Mc.Job]): one attempt under each
+   strategy, escalating budgets and method fallback.
 
    The vehicle is a 4-bit saturating chain: 0 is a fixed point, any
    nonzero value marches deterministically up to 15 and sticks there.
@@ -13,7 +13,7 @@
 let chain_width = 4
 let chain_top = (1 lsl chain_width) - 1
 
-let chain_model () =
+let chain_model ?(start = 0) () =
   let sp = Fsm.Space.create () in
   let w = Fsm.Space.state_word ~name:"c" sp ~width:chain_width in
   let man = Fsm.Space.man sp in
@@ -28,7 +28,7 @@ let chain_model () =
   in
   let assigns = Array.to_list (Array.mapi (fun i l -> (l, nextv.(i))) w) in
   let trans = Fsm.Trans.make sp ~assigns in
-  let init = Bvec.eq man c (konst 0) in
+  let init = Bvec.eq man c (konst start) in
   let good = [ Bdd.bnot man (Bvec.eq man c (konst chain_top)) ] in
   Mc.Model.make ~name:"chain" ~space:sp ~trans ~init ~good ()
 
@@ -352,15 +352,15 @@ let test_deadline_fires_mid_image () =
     true
     (created < 1 lsl 24)
 
-(* --- resilient driver ----------------------------------------------- *)
+(* --- job driver ----------------------------------------------------- *)
 
 let test_resilient_first_try () =
   let model = chain_model () in
-  let outcome = Mc.Resilient.run ~fallback:[ Mc.Runner.Xici ] model in
+  let outcome = Mc.Job.run ~fallback:[ Mc.Runner.Xici ] model in
   Alcotest.(check bool) "proved" true
-    (Mc.Report.is_proved outcome.Mc.Resilient.final);
+    (Mc.Report.is_proved outcome.Mc.Job.final);
   Alcotest.(check int) "single attempt" 1
-    (List.length outcome.Mc.Resilient.attempts)
+    (List.length outcome.Mc.Job.steps)
 
 let test_escalating_budget_recovery () =
   let cold = chain_model () in
@@ -374,23 +374,23 @@ let test_escalating_budget_recovery () =
   let model = chain_model () in
   let path = temp_path () in
   let outcome =
-    Mc.Resilient.run ~retries:8 ~budget_escalation:2.0
+    Mc.Job.run ~retries:8 ~budget_escalation:2.0
       ~max_created_nodes:(max 1 (cost / 4))
       ~fallback:[ Mc.Runner.Xici ] ~checkpoint:path model
   in
   cleanup path;
   Alcotest.(check bool) "recovered to proved" true
-    (Mc.Report.is_proved outcome.Mc.Resilient.final);
-  let attempts = outcome.Mc.Resilient.attempts in
+    (Mc.Report.is_proved outcome.Mc.Job.final);
+  let attempts = outcome.Mc.Job.steps in
   Alcotest.(check bool) "took more than one attempt" true
     (List.length attempts >= 2);
   (match attempts with
   | first :: _ ->
     Alcotest.(check bool) "first attempt exceeded its budget" true
-      (is_exceeded first.Mc.Resilient.report)
+      (is_exceeded first.Mc.Job.report)
   | [] -> Alcotest.fail "no attempts recorded");
   let budgets =
-    List.filter_map (fun a -> a.Mc.Resilient.max_created_nodes) attempts
+    List.filter_map (fun a -> a.Mc.Job.max_created_nodes) attempts
   in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a < b && increasing rest
@@ -398,7 +398,7 @@ let test_escalating_budget_recovery () =
   in
   Alcotest.(check bool) "budgets strictly escalate" true (increasing budgets);
   Alcotest.(check bool) "a retry resumed from the checkpoint" true
-    (List.exists (fun a -> a.Mc.Resilient.resumed_at <> None) attempts)
+    (List.exists (fun a -> a.Mc.Job.resumed_at <> None) attempts)
 
 let test_portfolio_fallback () =
   let model = chain_model () in
@@ -414,26 +414,26 @@ let test_portfolio_fallback () =
            raise (Mc.Limits.Exceeded "injected fault")
          end));
   let outcome =
-    Mc.Resilient.run ~retries:1
+    Mc.Job.run ~retries:1
       ~fallback:[ Mc.Runner.Xici; Mc.Runner.Forward ]
       model
   in
   Bdd.set_fault_hook man None;
   Alcotest.(check bool) "fault fired" true (not !armed);
-  (match outcome.Mc.Resilient.attempts with
+  (match outcome.Mc.Job.steps with
   | [ a1; a2 ] ->
     Alcotest.(check bool) "XICI attempt exceeded" true
-      (a1.Mc.Resilient.meth = Mc.Runner.Xici
-      && is_exceeded a1.Mc.Resilient.report);
+      (a1.Mc.Job.meth = Mc.Runner.Xici
+      && is_exceeded a1.Mc.Job.report);
     Alcotest.(check bool) "Forward fallback proves" true
-      (a2.Mc.Resilient.meth = Mc.Runner.Forward
-      && Mc.Report.is_proved a2.Mc.Resilient.report)
+      (a2.Mc.Job.meth = Mc.Runner.Forward
+      && Mc.Report.is_proved a2.Mc.Job.report)
   | attempts ->
     Alcotest.fail
       (Printf.sprintf "expected exactly two attempts, got %d"
          (List.length attempts)));
   Alcotest.(check bool) "outcome proved via fallback" true
-    (Mc.Report.is_proved outcome.Mc.Resilient.final)
+    (Mc.Report.is_proved outcome.Mc.Job.final)
 
 let test_node_budget_fault_caught () =
   (* A Node_budget_exhausted escaping a method (fault hook firing
@@ -450,18 +450,18 @@ let test_node_budget_fault_caught () =
            raise Bdd.Node_budget_exhausted
          end));
   let outcome =
-    Mc.Resilient.run ~retries:1
+    Mc.Job.run ~retries:1
       ~fallback:[ Mc.Runner.Xici; Mc.Runner.Forward ]
       model
   in
   Bdd.set_fault_hook man None;
   Alcotest.(check bool) "fault fired" true (not !armed);
   Alcotest.(check bool) "outcome proved despite the fault" true
-    (Mc.Report.is_proved outcome.Mc.Resilient.final);
-  match outcome.Mc.Resilient.attempts with
+    (Mc.Report.is_proved outcome.Mc.Job.final);
+  match outcome.Mc.Job.steps with
   | a1 :: _ ->
     Alcotest.(check bool) "first attempt recorded as exceeded" true
-      (is_exceeded a1.Mc.Resilient.report)
+      (is_exceeded a1.Mc.Job.report)
   | [] -> Alcotest.fail "no attempts recorded"
 
 let test_portfolio_crash_containment () =
@@ -511,6 +511,81 @@ let test_portfolio_crash_containment () =
       Alcotest.fail "victim config survived its own crash")
   | None -> Alcotest.fail "victim config missing from reports"
 
+let verdict (r : Mc.Report.t) =
+  match r.Mc.Report.status with
+  | Mc.Report.Proved -> "proved"
+  | Mc.Report.Violated _ -> "violated"
+  | Mc.Report.Exceeded _ -> "exceeded"
+
+(* Table-driven: every strategy, on a proved and a violated model, gives
+   the verdict of the direct Runner / Parallel / Batch call; and under
+   the strategies that run on the caller's manager, a fault hook raising
+   [Bdd.Node_budget_exhausted] -- which no method catches -- comes back
+   as an Exceeded report that records the attempt's own cost. *)
+let test_job_attempt_table () =
+  let strategies model =
+    [
+      ( "method",
+        Mc.Job.Method Mc.Runner.Xici,
+        fun () -> Mc.Runner.run ~limits Mc.Runner.Xici model );
+      ( "portfolio",
+        Mc.Job.Portfolio { domains = 2 },
+        fun () ->
+          match (Mc.Parallel.portfolio ~domains:2 ~limits model).winner with
+          | Some (_, r) -> r
+          | None -> Alcotest.fail "direct portfolio decided nothing" );
+      ( "batch",
+        Mc.Job.Batch
+          { meth = Mc.Runner.Xici; props = Mc.Batch.of_goods model; domains = 1 },
+        fun () ->
+          match
+            (Mc.Batch.run ~limits model (Mc.Batch.of_goods model)).items
+          with
+          | [ it ] -> it.Mc.Batch.report
+          | _ -> Alcotest.fail "the chain has one property" );
+    ]
+  in
+  List.iter
+    (fun (start, expected) ->
+      List.iter
+        (fun (name, strategy, direct) ->
+          let label what = Printf.sprintf "%s, start %d: %s" name start what in
+          let r = Mc.Job.attempt ~limits strategy (chain_model ~start ()) in
+          Alcotest.(check string) (label "verdict") expected
+            (verdict r.Mc.Job.report);
+          Alcotest.(check string) (label "same as the direct call")
+            (verdict (direct ())) (verdict r.Mc.Job.report);
+          Alcotest.(check bool) (label "detail attached") true
+            (match strategy with
+            | Mc.Job.Method _ -> r.batch = None && r.portfolio = None
+            | Mc.Job.Portfolio _ -> r.portfolio <> None
+            | Mc.Job.Batch _ -> r.batch <> None))
+        (strategies (chain_model ~start ())))
+    [ (0, "proved"); (1, "violated") ];
+  List.iter
+    (fun (name, strategy, _) ->
+      match strategy with
+      | Mc.Job.Portfolio _ -> ()
+      | Mc.Job.Method _ | Mc.Job.Batch _ ->
+        let model = chain_model () in
+        let man = Mc.Model.man model in
+        let armed_at = Bdd.created_nodes man + 1 in
+        Bdd.set_fault_hook man
+          (Some
+             (fun m ->
+               if Bdd.created_nodes m >= armed_at then
+                 raise Bdd.Node_budget_exhausted));
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Bdd.set_fault_hook man None)
+            (fun () -> Mc.Job.attempt ~limits strategy model)
+        in
+        Alcotest.(check string) (name ^ ": node-budget fault") "exceeded"
+          (verdict r.Mc.Job.report);
+        Alcotest.(check bool) (name ^ ": cost recorded") true
+          (r.Mc.Job.report.Mc.Report.nodes_created >= 1))
+    (strategies (chain_model ()))
+
 let test_resilient_invalid_args () =
   let model = chain_model () in
   let rejects label f =
@@ -520,10 +595,10 @@ let test_resilient_invalid_args () =
          false
        with Invalid_argument _ -> true)
   in
-  rejects "empty portfolio" (fun () -> Mc.Resilient.run ~fallback:[] model);
-  rejects "retries < 1" (fun () -> Mc.Resilient.run ~retries:0 model);
+  rejects "empty fallback list" (fun () -> Mc.Job.run ~fallback:[] model);
+  rejects "retries < 1" (fun () -> Mc.Job.run ~retries:0 model);
   rejects "escalation < 1" (fun () ->
-      Mc.Resilient.run ~budget_escalation:0.5 model)
+      Mc.Job.run ~budget_escalation:0.5 model)
 
 let () =
   Alcotest.run "resilient"
@@ -567,5 +642,7 @@ let () =
             test_portfolio_crash_containment;
           Alcotest.test_case "invalid arguments rejected" `Quick
             test_resilient_invalid_args;
+          Alcotest.test_case "job attempt: strategies x failures" `Quick
+            test_job_attempt_table;
         ] );
     ]

@@ -513,6 +513,40 @@ let test_daemon_verdict_parity () =
           (ev_str "verdict" r))
     jobs
 
+(* A solve that blows its budget reports what it consumed: real node
+   counts, and solve time only -- never the queue wait in front of it. *)
+let test_daemon_exceed_report () =
+  let sock = tmp_sock () in
+  let events =
+    with_daemon (base_cfg sock) (fun () ->
+        talk sock
+          [
+            {|{"id":"boom","model":{"family":"filter","depth":4},"fault":{"action":"exceed","after_steps":200}}|};
+            {|{"type":"shutdown"}|};
+          ])
+  in
+  match find_result "boom" events with
+  | None -> Alcotest.fail "no result for the exceeded job"
+  | Some r ->
+    let num j f =
+      match Option.bind (Obs.Json.member f j) Obs.Json.to_float with
+      | Some x -> x
+      | None -> Alcotest.fail (Printf.sprintf "result has no %s" f)
+    in
+    let report =
+      match Obs.Json.member "report" r with
+      | Some rep -> rep
+      | None -> Alcotest.fail "result has no report"
+    in
+    Alcotest.(check bool) "verdict is exceeded" true
+      (match ev_str "verdict" r with
+      | Some v -> contains ~sub:"EXCEEDED" v
+      | None -> false);
+    Alcotest.(check bool) "nodes_created > 0" true
+      (num report "nodes_created" > 0.0);
+    Alcotest.(check bool) "time_s excludes the queue wait" true
+      (num report "wall_seconds" <= num r "e2e_s" -. num r "queue_s")
+
 let test_daemon_pressure_recovers () =
   (* With a tiny --max-total-live, a finished job's scratch must not
      leave the idle daemon refusing every later submission. *)
@@ -1230,5 +1264,7 @@ let () =
           Alcotest.test_case "trace id stable across checkpoint retry" `Quick
             test_daemon_trace_stability;
           test_daemon_exactly_once;
+          Alcotest.test_case "exceeded solve reports its own cost" `Quick
+            test_daemon_exceed_report;
         ] );
     ]
