@@ -5,7 +5,7 @@
     the paper's experiments ran.  Properties the verification layers rely
     on:
 
-    - {b canonicity}: semantically equal functions are physically equal
+    - {b canonicity}: semantically equal functions are the same edge
       ([equal] is O(1));
     - {b constant-time negation} via complement edges;
     - {b shared size accounting} ([size_list]) for whole lists of BDDs;
@@ -13,10 +13,20 @@
       operators of Coudert, Berthet and Madre.
 
     All operations are memoised per manager.  The package is not
-    thread-safe; use one manager per thread. *)
+    thread-safe; use one manager per thread.
+
+    Nodes are not OCaml values: a manager keeps them as int triples in
+    flat arrays, and the OCaml GC never sees them.  A {!t} is a small
+    immutable handle on one of them.  The manager roots every handle it
+    returns, weakly, so the handles the program can still reach decide
+    what {!gc} keeps; nothing is ever freed inside an operation. *)
 
 type t
-(** A BDD, i.e. an edge (node pointer + complement bit). *)
+(** A BDD: an immutable handle naming one edge (node and complement
+    bit) of its manager.  Handles are cheap to keep, compare and drop;
+    two handles for the same function are {!equal} but need not be
+    physically equal.  Passing a handle to a function of another manager
+    raises [Invalid_argument]. *)
 
 type man
 (** A manager: unique table, variable order, memo caches, statistics. *)
@@ -56,7 +66,12 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val tag : t -> int
-(** Stable integer identifying this BDD within its manager. *)
+(** Integer identifying this BDD within its manager: two handles have
+    the same tag iff they are {!equal}.  A held handle keeps its tag
+    across {!gc}, but after a {!gc} a tag that no held handle carries
+    may come back for a different function, so a table keyed by tags
+    must be dropped when {!gc_events} moves unless it also holds the
+    handles. *)
 
 val level : t -> int
 (** Level of the root variable; [max_int] on constants. *)
@@ -174,17 +189,21 @@ val pick_minterm : man -> vars:int list -> t -> bool array
 (** {1 Statistics and memory} *)
 
 val live_nodes : man -> int
-(** Nodes currently interned, from the unique table's O(1) counter.
-    The table is weak (unreferenced nodes disappear at the next GC),
-    and collected nodes are discovered lazily, so between {!gc} calls
-    this is an upper bound: it counts every node not yet observed
-    dead.  {!gc} sweeps the table and makes it exact. *)
+(** Internal nodes (the terminal excluded) the manager holds now: an
+    exact O(1) counter.  Only {!gc} frees nodes, so between calls it
+    counts every node interned since the last one; right after a {!gc}
+    it equals the number of internal nodes reachable from the handles
+    the program still holds.  It depends on the sequence of operations
+    only, never on when the OCaml GC runs. *)
 
 val created_nodes : man -> int
-(** Monotone count of nodes ever created; a machine-independent proxy
-    for the paper's "total memory used" column. *)
+(** Monotone count of nodes ever interned, including nodes interned
+    again after a {!gc} freed them; a machine-independent proxy for
+    the paper's "total memory used" column.  Like {!live_nodes} it does
+    not depend on the OCaml GC's settings or timing. *)
 
 val peak_live_nodes : man -> int
+(** Largest {!live_nodes} value so far. *)
 
 val cache_stats : man -> (string * int * int) list
 (** [(name, hits, misses)] for each of the eight memo caches (ite,
@@ -197,18 +216,21 @@ val gc_events : man -> int
 (** Times the computed table was invalidated under pressure: explicit
     {!gc} calls plus budget-triggered trims.  (With the lossy computed
     table the budget is enforced structurally, so budget trims only
-    occur if [cache_budget] is shrunk on a live manager; the counter
-    keeps the pre-rewrite "cache drop" semantics.) *)
+    occur if [cache_budget] is shrunk on a live manager.)  A freed node
+    index is reused only after this counter has moved. *)
 
 val clear_caches : man -> unit
 (** Invalidate every memoised result in O(1) (a generation bump: stale
-    entries silently stop matching).  Cached result edges stay
-    referenced until overwritten; use {!gc} to release them. *)
+    entries silently stop matching). *)
 
 val gc : man -> unit
-(** Deep-clear the computed table (releasing its result references),
-    run a full OCaml GC, and sweep the unique table so dead nodes leave
-    it and {!live_nodes} is exact. *)
+(** The manager's only collector.  Runs a full major OCaml GC, marks
+    every node reachable from the handles that survived it, puts the
+    other nodes on a free list for later reuse, rebuilds the unique
+    table from the survivors, empties the computed table and bumps
+    {!gc_events}.  Afterwards {!live_nodes} is exact.  Costs a full
+    major collection plus time linear in the nodes held; call it
+    between operations (never from a progress or fault hook). *)
 
 val computed_table_stats : man -> (string * int) list
 (** Shared computed-table counters: [slots] (current capacity),
@@ -216,8 +238,9 @@ val computed_table_stats : man -> (string * int) list
     [resizes], [trims]. *)
 
 val unique_table_stats : man -> (string * int) list
-(** Unique-table counters: [slots], [live], [tombstones], [resizes],
-    [sweeps]. *)
+(** Unique-table counters: [slots] (current capacity), [live] (as
+    {!live_nodes}), [resizes] (doublings under growth) and [sweeps]
+    ({!gc} passes). *)
 
 val set_progress_hook : man -> (man -> unit) option -> unit
 (** Callback invoked every 64K node creations, even in the middle of a
@@ -331,7 +354,8 @@ end
     so unit tests can exercise collisions, eviction, resizing and
     generation invalidation on tiny standalone tables.  Verification
     code should never need this: every operator memoises through the
-    manager's own table automatically. *)
+    manager's own table automatically.  Keys and results are ints (the
+    kernel stores edges, i.e. {!tag}s); results must be [>= 0]. *)
 module Computed_table : sig
   type table
 
@@ -339,21 +363,21 @@ module Computed_table : sig
   (** Slot count capped at the largest power of two <= [budget]
       (minimum 64); starts small and doubles under occupancy. *)
 
-  val absent : t
-  (** The lookup-miss sentinel; compare against results with [==]. *)
+  val miss : int
+  (** The lookup-miss result, [-1]. *)
 
-  val find : table -> int -> int -> int -> int -> t
-  (** [find tbl op a b c] returns the cached result or {!absent}.
+  val find : table -> int -> int -> int -> int -> int
+  (** [find tbl op a b c] returns the cached result or {!miss}.
       Allocation-free. *)
 
-  val store : table -> int -> int -> int -> int -> t -> unit
+  val store : table -> int -> int -> int -> int -> int -> unit
   (** Direct-mapped store; evicts whatever occupied the slot. *)
 
   val trim : table -> unit
   (** O(1) invalidation (generation bump). *)
 
   val clear : table -> unit
-  (** Invalidate and drop all result references. *)
+  (** Invalidate and empty every slot. *)
 
   val slots : table -> int
   val occupied : table -> int

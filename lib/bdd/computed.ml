@@ -1,24 +1,24 @@
 (* The computed table: one lossy, open-addressed, direct-mapped cache
-   shared by every memoised operator (CUDD-style), replacing the eight
-   per-operator polymorphic [Hashtbl]s.
+   shared by every memoised operator (CUDD-style).
 
-   Layout: a flat [int array] of packed keys (stride 4 per slot:
-   op-tag word, then the three operand ints) plus a parallel [Repr.t]
-   array of results.  A lookup hashes the four key ints to a single
-   slot and compares four words; a store overwrites whatever lives
-   there (eviction-on-collision).  Nothing is boxed on either path, so
-   a hit costs four loads and four compares and a miss allocates
-   nothing -- correctness never depends on residency because a missed
-   entry is merely recomputed, and canonical hash-consing makes the
-   recomputed result physically identical.
+   Layout: one flat [int array], five words per slot: the op-tag word,
+   the three operand ints and the result edge, so a hit reads one
+   contiguous run of memory.  A lookup hashes the four key ints to a
+   single slot and compares four words; a store overwrites whatever
+   lives there (eviction-on-collision).  The array holds only ints, so
+   neither path allocates or runs a write barrier, and a miss is the
+   result [-1].
+   Correctness never depends on residency: a missed entry is merely
+   recomputed, and canonical hash-consing makes the recomputed result
+   the same edge.
 
    Sizing is power-of-two with occupancy-driven doubling (when more
    than half the slots are filled) up to a cap derived from the
    manager's [cache_budget].  Invalidation ("trim") is a generation
    bump: the current generation is packed into the op-tag word, so all
-   resident entries silently stop matching in O(1).  A trim does NOT
-   release the result edges; [clear] does (used by [Bdd.gc] so the
-   weak unique table can actually collect). *)
+   resident entries silently stop matching in O(1).  [clear] also
+   empties every slot; [Bdd.gc] uses it, because a collection may free
+   the nodes that cached keys and results name. *)
 
 (* Operator tags, packed into the low bits of the tag word.  Must stay
    below [ops_width]. *)
@@ -35,8 +35,7 @@ let op_vcompose = 8
 let ops_bits = 5 (* up to 32 distinct operator tags *)
 
 type t = {
-  mutable keys : int array; (* stride 4: [tagword; a; b; c] *)
-  mutable vals : Repr.t array;
+  mutable data : int array; (* stride 5: [tagword; a; b; c; result] *)
   mutable mask : int; (* slots - 1; slots is a power of two *)
   mutable occupied : int; (* slots holding any entry (any generation) *)
   mutable generation : int;
@@ -47,10 +46,10 @@ type t = {
   mutable trims : int;
 }
 
-(* The lookup-miss sentinel: a physically unique edge, distinguishable
-   from every genuine result (including the constants) by [==] alone,
-   so [find] needs no [option] box. *)
-let absent : Repr.t = { Repr.node = Repr.terminal_node; neg = false }
+let stride = 5
+
+(* The lookup-miss result; every edge is >= 0. *)
+let miss = -1
 
 let floor_pow2 n =
   let rec go p = if p * 2 <= n then go (p * 2) else p in
@@ -60,8 +59,7 @@ let create ~budget =
   let max_slots = floor_pow2 (max budget 64) in
   let slots = min 8192 max_slots in
   {
-    keys = Array.make (slots * 4) (-1);
-    vals = Array.make slots absent;
+    data = Array.make (slots * stride) (-1);
     mask = slots - 1;
     occupied = 0;
     generation = 0;
@@ -84,81 +82,74 @@ let[@inline] index t op a b c =
 
 let[@inline] tagword t op = (t.generation lsl ops_bits) lor op
 
+(* [index] is masked, so every slot read below is in bounds. *)
 let[@inline] find t op a b c =
-  let i = index t op a b c in
-  let k = i lsl 2 in
-  let keys = t.keys in
+  let k = stride * index t op a b c in
+  let d = t.data in
   if
-    keys.(k) = tagword t op
-    && keys.(k + 1) = a
-    && keys.(k + 2) = b
-    && keys.(k + 3) = c
-  then t.vals.(i)
-  else absent
+    Array.unsafe_get d k = tagword t op
+    && Array.unsafe_get d (k + 1) = a
+    && Array.unsafe_get d (k + 2) = b
+    && Array.unsafe_get d (k + 3) = c
+  then Array.unsafe_get d (k + 4)
+  else miss
 
 (* Grow to [slots * 2], re-inserting only current-generation entries
-   (stale ones are dropped, which also releases their result edges). *)
+   (stale ones are dropped). *)
 let resize t =
-  let old_keys = t.keys and old_vals = t.vals in
+  let old = t.data in
   let old_slots = t.mask + 1 in
   let slots = old_slots * 2 in
-  t.keys <- Array.make (slots * 4) (-1);
-  t.vals <- Array.make slots absent;
+  let d = Array.make (slots * stride) (-1) in
+  t.data <- d;
   t.mask <- slots - 1;
   t.occupied <- 0;
   t.resizes <- t.resizes + 1;
   let gen_floor = t.generation lsl ops_bits in
   for i = 0 to old_slots - 1 do
-    let k = i lsl 2 in
-    let w = old_keys.(k) in
+    let k = i * stride in
+    let w = old.(k) in
     if w >= gen_floor then begin
       (* current generation: reinsert (still direct-mapped, so a
          same-slot pair after rehash keeps only the later one) *)
-      let a = old_keys.(k + 1)
-      and b = old_keys.(k + 2)
-      and c = old_keys.(k + 3) in
-      let j = index t (w - gen_floor) a b c in
-      let jk = j lsl 2 in
-      if t.keys.(jk) = -1 then t.occupied <- t.occupied + 1;
-      t.keys.(jk) <- w;
-      t.keys.(jk + 1) <- a;
-      t.keys.(jk + 2) <- b;
-      t.keys.(jk + 3) <- c;
-      t.vals.(j) <- old_vals.(i)
+      let a = old.(k + 1) and b = old.(k + 2) and c = old.(k + 3) in
+      let jk = stride * index t (w - gen_floor) a b c in
+      if d.(jk) = -1 then t.occupied <- t.occupied + 1;
+      Array.blit old k d jk stride
     end
   done
 
 let store t op a b c r =
   if t.occupied * 2 > t.mask + 1 && t.mask + 1 < t.max_slots then resize t;
-  let i = index t op a b c in
-  let k = i lsl 2 in
-  let keys = t.keys in
+  let k = stride * index t op a b c in
+  let d = t.data in
   let w = tagword t op in
-  let old = keys.(k) in
+  let old = Array.unsafe_get d k in
   if old = -1 then t.occupied <- t.occupied + 1
   else if
-    not (old = w && keys.(k + 1) = a && keys.(k + 2) = b && keys.(k + 3) = c)
+    not
+      (old = w
+      && Array.unsafe_get d (k + 1) = a
+      && Array.unsafe_get d (k + 2) = b
+      && Array.unsafe_get d (k + 3) = c)
   then t.evictions <- t.evictions + 1;
-  keys.(k) <- w;
-  keys.(k + 1) <- a;
-  keys.(k + 2) <- b;
-  keys.(k + 3) <- c;
-  t.vals.(i) <- r
+  Array.unsafe_set d k w;
+  Array.unsafe_set d (k + 1) a;
+  Array.unsafe_set d (k + 2) b;
+  Array.unsafe_set d (k + 3) c;
+  Array.unsafe_set d (k + 4) r
 
 (* O(1) invalidation: every resident entry's tag word now belongs to a
-   dead generation and can never match again.  Result edges stay
-   referenced until overwritten or [clear]ed. *)
+   dead generation and can never match again. *)
 let trim t =
   t.generation <- t.generation + 1;
   t.trims <- t.trims + 1
 
-(* Deep clear: invalidate AND drop every reference, so the weak unique
-   table can collect dead nodes at the next major GC. *)
+(* Deep clear: invalidate and empty every slot. *)
 let clear t =
   t.generation <- t.generation + 1;
   t.occupied <- 0;
-  Array.fill t.keys 0 (Array.length t.keys) (-1);
-  Array.fill t.vals 0 (Array.length t.vals) absent
+  Array.fill t.data 0 (Array.length t.data) (-1)
 
 let stats t =
   [

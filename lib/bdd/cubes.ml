@@ -10,22 +10,20 @@ open Repr
 
 type literal = int * bool (* level, phase *)
 
-let cubes f : literal list Seq.t =
+let cubes st f : literal list Seq.t =
   let rec walk prefix e () =
     if is_true e then Seq.Cons (List.rev prefix, Seq.empty)
     else if is_false e then Seq.Nil
     else begin
-      let v = level e in
-      let e0, e1 = cofactors e v in
+      let v = level st e in
       Seq.append
-        (walk ((v, false) :: prefix) e0)
-        (walk ((v, true) :: prefix) e1)
+        (walk ((v, false) :: prefix) (low st e))
+        (walk ((v, true) :: prefix) (high st e))
         ()
     end
   in
   walk [] f
-
-let minterms ~vars f : bool array Seq.t =
+let minterms st ~vars f : bool array Seq.t =
   let vars = List.sort_uniq compare vars in
   let size = 1 + List.fold_left max (-1) vars in
   let free cube = List.filter (fun v -> not (List.mem_assoc v cube)) vars in
@@ -49,6 +47,6 @@ let minterms ~vars f : bool array Seq.t =
     List.iter (fun (v, b) -> if v < size then env.(v) <- b) cube;
     go env (free cube)
   in
-  Seq.concat_map expand (cubes f)
+  Seq.concat_map expand (cubes st f)
 
-let count_cubes f = Seq.fold_left (fun n _ -> n + 1) 0 (cubes f)
+let count_cubes st f = Seq.fold_left (fun n _ -> n + 1) 0 (cubes st f)

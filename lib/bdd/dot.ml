@@ -4,29 +4,32 @@
 open Repr
 
 let to_channel man oc fs =
+  let st = man.Man.store in
   let pr fmt = Printf.fprintf oc fmt in
   pr "digraph bdd {\n  rankdir = TB;\n";
   pr "  t [shape=box,label=\"1\"];\n";
   let seen = Hashtbl.create 64 in
-  let rec visit n =
-    if not (Hashtbl.mem seen n.id) && not (is_terminal_node n) then begin
-      Hashtbl.add seen n.id ();
-      pr "  n%d [label=\"%s\"];\n" n.id (Man.var_name man n.level);
-      let target m = if is_terminal_node m then "t" else Printf.sprintf "n%d" m.id in
-      pr "  n%d -> %s [style=%s];\n" n.id (target n.low)
-        (if n.low_neg then "dotted" else "dashed");
-      pr "  n%d -> %s;\n" n.id (target n.high);
-      visit n.low;
-      visit n.high
+  let target e = if is_const e then "t" else Printf.sprintf "n%d" (node e) in
+  let rec visit e =
+    let n = node e in
+    if (not (Hashtbl.mem seen n)) && not (is_const e) then begin
+      Hashtbl.add seen n ();
+      let r = e land lnot 1 in
+      let lo = low st r and hi = high st r in
+      pr "  n%d [label=\"%s\"];\n" n (Man.var_name man (level st r));
+      pr "  n%d -> %s [style=%s];\n" n (target lo)
+        (if lo land 1 = 1 then "dotted" else "dashed");
+      pr "  n%d -> %s;\n" n (target hi);
+      visit lo;
+      visit hi
     end
   in
   List.iteri
     (fun i f ->
       pr "  root%d [shape=plaintext,label=\"f%d\"];\n" i i;
-      let t = if is_terminal_node f.node then "t" else Printf.sprintf "n%d" f.node.id in
-      pr "  root%d -> %s [style=%s];\n" i t
-        (if f.neg then "dotted" else "solid");
-      visit f.node)
+      pr "  root%d -> %s [style=%s];\n" i (target f)
+        (if f land 1 = 1 then "dotted" else "solid");
+      visit f)
     fs;
   pr "}\n"
 

@@ -1,13 +1,14 @@
 (* BDD manager: unique table, variable bookkeeping, the shared computed
    table and statistics counters.  All node creation goes through [mk],
    which enforces the two canonicity invariants (no redundant node, THEN
-   edge regular), so semantically equal BDDs are always physically
-   equal.
+   edge regular), so semantically equal BDDs are always the same
+   edge.
 
-   The two kernel tables live in their own modules: [Unique] (weak,
-   open-addressed, O(1) live counter) and [Computed] (lossy,
-   direct-mapped, allocation-free).  This module owns their lifecycle
-   (trim / clear / gc) and the per-operator hit/miss accounting. *)
+   The two kernel tables live in their own modules: [Unique] (the int
+   node store and its open-addressed unique table) and [Computed]
+   (lossy, direct-mapped, allocation-free).  This module owns their
+   lifecycle (trim / clear / gc) and the per-operator hit/miss
+   accounting. *)
 
 type varset = {
   vid : int;                    (* interning key within the manager *)
@@ -23,7 +24,8 @@ type cstat = { mutable hits : int; mutable misses : int }
 (* Simultaneous-substitution vectors are interned by PHYSICAL equality
    (callers reuse one array across calls and must not mutate it after
    first use); the hash is structural over a bounded prefix, which is
-   compatible with [==] and stable because edge tags never change. *)
+   compatible with [==] and stable because the edge of a held handle
+   never changes. *)
 module Subst_tbl = Hashtbl.Make (struct
   type t = Repr.t option array
 
@@ -33,16 +35,15 @@ module Subst_tbl = Hashtbl.Make (struct
     let n = Array.length a in
     let h = ref (n * 0x9e3779b1) in
     for i = 0 to min (n - 1) 7 do
-      let v = match a.(i) with None -> -1 | Some e -> Repr.tag e in
+      let v = match a.(i) with None -> -1 | Some e -> e.Repr.edge in
       h := (!h * 0x85ebca6b) lxor v
     done;
     !h land max_int
 end)
 
 type t = {
-  unique : Unique.t;
+  store : Repr.store;
   computed : Computed.t;
-  mutable next_id : int;
   mutable nvars : int;
   mutable names : string array;
   mutable created : int;        (* total nodes ever interned *)
@@ -61,7 +62,9 @@ type t = {
   stat_rename : cstat;
   stat_vcompose : cstat;
   mutable gc_events : int;      (* cache trims + explicit gc calls *)
-  vcomposes : int Subst_tbl.t;
+  vcomposes : (int * int array) Subst_tbl.t;
+      (* id and edge vector (-1 = keep the variable) per interned
+         substitution *)
   mutable next_vcompose_id : int;
   mutable cache_entries_budget : int;
   mutable progress_hook : (t -> unit) option;
@@ -72,9 +75,8 @@ let fresh_cstat () = { hits = 0; misses = 0 }
 
 let create ?(cache_budget = 2_000_000) () =
   {
-    unique = Unique.create (1 lsl 14);
+    store = Unique.create ();
     computed = Computed.create ~budget:cache_budget;
-    next_id = 1;
     nvars = 0;
     names = [||];
     created = 0;
@@ -100,9 +102,7 @@ let create ?(cache_budget = 2_000_000) () =
     fault_hook = None;
   }
 
-(* O(1) invalidation of all memo state (generation bump).  Result
-   references stay resident until overwritten; use [gc] to release
-   them so the weak unique table can collect. *)
+(* O(1) invalidation of all memo state (generation bump). *)
 let clear_caches man = Computed.trim man.computed
 
 (* With the lossy computed table the budget is enforced structurally
@@ -128,21 +128,37 @@ let tick man =
 
 let steps man = man.steps
 
-(* O(1): the unique table maintains the counter.  Between [gc] sweeps
-   it is an upper bound (nodes not yet observed dead are counted). *)
+(* O(1): the store maintains the counter.  Nothing is freed between
+   [gc] calls, so it counts every node interned since the last one. *)
 let live_nodes man =
-  let live = Unique.live man.unique in
+  let live = man.store.Repr.live in
   if live > man.peak_live then man.peak_live <- live;
   live
 
 let created_nodes man = man.created
 let num_vars man = man.nvars
 
+(* The only collector.  The registry of handles is the root set: the
+   substitution vectors interned above hold handles too, so they are
+   dropped first (a later [vector_compose] re-interns its vector under
+   a fresh id), then a full major GC leaves exactly the handles the
+   program can still reach.  Their nodes are marked, the rest go on
+   the free list, and the computed table is emptied because its keys
+   and results may name freed nodes.  Never called inside an
+   operation, so no kernel frame holds an unrooted edge. *)
 let gc man =
   man.gc_events <- man.gc_events + 1;
+  Subst_tbl.reset man.vcomposes;
   Computed.clear man.computed;
   Gc.full_major ();
-  Unique.sweep man.unique
+  let st = man.store in
+  Repr.compact_handles st;
+  Unique.collect st (fun mark ->
+      for i = 0 to st.Repr.handle_count - 1 do
+        match Weak.get st.Repr.handles i with
+        | Some h -> mark h.Repr.edge
+        | None -> ()
+      done)
 
 let gc_events man = man.gc_events
 
@@ -165,17 +181,15 @@ let cache_stats man =
   ]
 
 let computed_table_stats man = Computed.stats man.computed
-let unique_table_stats man = Unique.stats man.unique
+let unique_table_stats man = Unique.stats man.store
 
-(* Interning. [hi] must be a regular (uncomplemented) reference. *)
-let intern man lvl lo lo_neg hi =
-  let probe =
-    { Repr.id = man.next_id; level = lvl; low = lo; low_neg = lo_neg;
-      high = hi }
-  in
-  let found = Unique.merge man.unique probe in
-  if found == probe then begin
-    man.next_id <- man.next_id + 1;
+(* Interning; returns the node index.  [hi] must be a regular edge. *)
+let intern man lvl lo hi =
+  let st = man.store in
+  let found = Unique.find st lvl lo hi in
+  if found > 0 then found
+  else begin
+    let n = Unique.add st (lnot found) lvl lo hi in
     man.created <- man.created + 1;
     (match man.fault_hook with None -> () | Some hook -> hook man);
     (* The live counter is O(1), so the peak is seeded on every
@@ -183,26 +197,26 @@ let intern man lvl lo lo_neg hi =
        cadence below only drives the progress hook (resource-limit
        checks that can interrupt a blown-up operation) and the budget
        check. *)
-    let live = Unique.live man.unique in
+    let live = st.Repr.live in
     if live > man.peak_live then man.peak_live <- live;
     if man.created land 0xFFFF = 0 then begin
       maybe_trim_caches man;
       match man.progress_hook with None -> () | Some hook -> hook man
-    end
-  end;
-  found
+    end;
+    n
+  end
 
 (* The canonicity rule for complement edges: if the THEN edge would be
    complemented, build the complemented node instead and return a
    complemented edge to it (node(v,l,h) = not node(v, not l, not h)). *)
-let rec mk man lvl ~low ~high =
-  if Repr.equal low high then low
-  else if high.Repr.neg then
-    Repr.neg (mk man lvl ~low:(Repr.neg low) ~high:(Repr.neg high))
+let mk man lvl ~low ~high =
+  if low = high then low
   else begin
-    assert (lvl < low.Repr.node.level && lvl < high.Repr.node.level);
-    { Repr.node = intern man lvl low.Repr.node low.Repr.neg high.Repr.node;
-      neg = false }
+    let st = man.store in
+    assert (lvl < Repr.level st low && lvl < Repr.level st high);
+    if high land 1 = 1 then
+      (intern man lvl (Repr.neg low) (Repr.neg high) lsl 1) lor 1
+    else intern man lvl low high lsl 1
   end
 
 (* [names] is a growable array: [nvars] is the logical length, the rest
@@ -273,15 +287,19 @@ let set_fault_hook man hook = man.fault_hook <- hook
 
 (* Intern a simultaneous-substitution vector (compared physically: the
    caller keeps the array alive -- and unmutated -- for the duration of
-   its use). *)
-let vcompose_id man subst =
+   its use); returns its id and its edges, -1 where the variable is
+   kept. *)
+let vcompose_entry man subst =
   match Subst_tbl.find_opt man.vcomposes subst with
-  | Some id -> id
+  | Some entry -> entry
   | None ->
     let id = man.next_vcompose_id in
     man.next_vcompose_id <- man.next_vcompose_id + 1;
-    Subst_tbl.add man.vcomposes subst id;
-    id
+    let edges =
+      Array.map (function None -> -1 | Some h -> h.Repr.edge) subst
+    in
+    Subst_tbl.add man.vcomposes subst (id, edges);
+    (id, edges)
 
 exception Node_budget_exhausted
 

@@ -9,27 +9,28 @@ exception Not_monotone
 
 let rename man perm f =
   let cache = man.Man.computed in
+  let st = man.Man.store in
   let pid = Man.perm_id man perm in
   let map lvl = if lvl < Array.length perm then perm.(lvl) else lvl in
   let rec go bound f =
     if is_const f then f
     else begin
-      let b = tag f in
-      let r = Computed.find cache Computed.op_rename pid b 0 in
-      if r != Computed.absent then begin
+      let r = Computed.find cache Computed.op_rename pid f 0 in
+      if r >= 0 then begin
         Man.hit man.Man.stat_rename;
-        if level r <> terminal_level && level r <= bound then
+        if level st r <> terminal_level && level st r <= bound then
           raise Not_monotone;
         r
       end
       else begin
         Man.miss man.Man.stat_rename;
-        let v = level f in
-        let v' = map v in
+        let v' = map (level st f) in
         if v' <= bound then raise Not_monotone;
-        let f0, f1 = cofactors f v in
-        let r = Man.mk man v' ~low:(go v' f0) ~high:(go v' f1) in
-        Computed.store cache Computed.op_rename pid b 0 r;
+        let f0 = low st f and f1 = high st f in
+        let hi = go v' f1 in
+        let lo = go v' f0 in
+        let r = Man.mk man v' ~low:lo ~high:hi in
+        Computed.store cache Computed.op_rename pid f 0 r;
         r
       end
     end

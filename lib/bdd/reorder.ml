@@ -14,22 +14,21 @@
 
 open Repr
 
-(* Rebuild [roots] with level [l] mapped to [perm.(l)] (identity beyond
-   the array), in manager [dst]. *)
-let transfer ~dst ~perm roots =
+(* Rebuild the edges [roots] of store [src] with level [l] mapped to
+   [perm.(l)] (identity beyond the array), in manager [dst]. *)
+let transfer ~src ~dst ~perm roots =
   let memo = Hashtbl.create 256 in
   let map l = if l < Array.length perm then perm.(l) else l in
   let rec tr e =
     if is_const e then e
     else begin
-      let key = tag e in
-      match Hashtbl.find_opt memo key with
+      match Hashtbl.find_opt memo e with
       | Some r -> r
       | None ->
-        let v = level e in
-        let e0, e1 = cofactors e v in
-        let r = Ops.ite dst (Man.var dst (map v)) (tr e1) (tr e0) in
-        Hashtbl.replace memo key r;
+        let lo = tr (low src e) in
+        let hi = tr (high src e) in
+        let r = Ops.ite dst (Man.var dst (map (level src e))) hi lo in
+        Hashtbl.replace memo e r;
         r
     end
   in
@@ -37,26 +36,27 @@ let transfer ~dst ~perm roots =
 
 (* Shared size of the roots under candidate order [order]
    (position -> original level), evaluated in a scratch manager. *)
-let size_under ~nvars roots order =
+let size_under ~src ~nvars roots order =
   let scratch = Man.create () in
   for _ = 1 to nvars do
     ignore (Man.new_var scratch)
   done;
   let perm = Array.make nvars 0 in
   Array.iteri (fun pos l -> perm.(l) <- pos) order;
-  let moved = transfer ~dst:scratch ~perm roots in
-  Size.size_list moved
+  let moved = transfer ~src ~dst:scratch ~perm roots in
+  Size.size_list scratch.Man.store moved
 
 let greedy_adjacent ?(passes = 2) man roots =
+  let src = man.Man.store in
   let nvars = Man.num_vars man in
   let order = Array.init nvars (fun i -> i) in
-  let best = ref (size_under ~nvars roots (Array.copy order)) in
+  let best = ref (size_under ~src ~nvars roots (Array.copy order)) in
   for _ = 1 to passes do
     for pos = 0 to nvars - 2 do
       let a = order.(pos) and b = order.(pos + 1) in
       order.(pos) <- b;
       order.(pos + 1) <- a;
-      let candidate = size_under ~nvars roots order in
+      let candidate = size_under ~src ~nvars roots order in
       if candidate < !best then best := candidate
       else begin
         (* revert *)
@@ -76,9 +76,10 @@ let greedy_adjacent ?(passes = 2) man roots =
    fully interleaved one); costs O(passes * nvars^2) transfers, so it
    is a model-development tool for moderate root sizes. *)
 let sift ?(passes = 1) man roots =
+  let src = man.Man.store in
   let nvars = Man.num_vars man in
   let order = ref (Array.init nvars (fun i -> i)) in
-  let evaluate order = size_under ~nvars roots order in
+  let evaluate order = size_under ~src ~nvars roots order in
   let best = ref (evaluate !order) in
   for _ = 1 to passes do
     for v = 0 to nvars - 1 do
@@ -144,4 +145,4 @@ let apply ~dst man roots perm =
            l' l t)
     | None -> Hashtbl.replace seen t l
   done;
-  transfer ~dst ~perm roots
+  transfer ~src:man.Man.store ~dst ~perm roots

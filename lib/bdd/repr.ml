@@ -5,73 +5,107 @@
    The complement bit lives on edges, never on nodes; to keep the
    representation canonical the THEN (high) edge of every node is regular
    (not complemented).  Negation is therefore a constant-time bit flip,
-   which the verification algorithms built on top rely on. *)
+   which the verification algorithms built on top rely on.
 
-type node = {
-  mutable id : int;
-  (* Unique within a manager; the terminal has id 0.  Mutable only so the
-     unique table can assign the id at interning time. *)
-  level : int;
-  (* Variable level; smaller levels are nearer the root.  The terminal
-     node has level [terminal_level]. *)
-  low : node;
-  low_neg : bool;
-  (* ELSE child as a (node, complement) pair, flattened into the record
-     to halve allocation. *)
-  high : node;
-  (* THEN child; canonical form forbids a complement bit here. *)
+   No node is an OCaml heap object.  A node is an index into one flat
+   [int array] of (level, low, high) triples, and an edge is the int
+   [node lsl 1 lor neg].  Node 0 is the terminal, so the edge 0 is TRUE
+   and the edge 1 is FALSE.  The kernel computes on edges alone: an
+   operation step allocates nothing, stores no pointer and needs no
+   write barrier.
+
+   The public [Bdd.t] is a handle [{edge; store}] built only at the
+   facade.  Every handle that names an internal node is recorded in the
+   store's weak registry, and the registry is the only root set: nodes
+   are freed by [Man.gc] alone, which marks from the handles that
+   survive a full major collection. *)
+
+type t = { edge : int; store : store }
+
+and store = {
+  mutable nodes : int array;
+      (* 3 words per node: level, low edge, high edge.  The terminal's
+         level is [terminal_level]; a free node's level is [free_level]
+         and its low word links the free list. *)
+  mutable next : int; (* first node index never handed out *)
+  mutable free : int; (* head of the free list; 0 = empty *)
+  mutable live : int; (* interned internal nodes *)
+  mutable buckets : int array;
+      (* the unique table: open addressing, linear probing; a slot
+         holds [node lsl 16 lor hash bits], 0 = empty (see [Unique]) *)
+  mutable mask : int; (* Array.length buckets - 1 *)
+  mutable resizes : int;
+  mutable sweeps : int;
+  mutable stamps : int array;
+      (* one word per node: a walk marks a node visited by writing the
+         current [stamp], so walks never clear anything *)
+  mutable stamp : int;
+  mutable handles : t Weak.t; (* the registry of rooted handles *)
+  mutable handle_count : int; (* registry slots in use *)
 }
 
-type t = { node : node; neg : bool }
-(* An edge: a reference to a node plus a complement bit.  All public BDD
-   values are edges. *)
-
 let terminal_level = max_int
+let free_level = -1
 
-(* The unique terminal node, representing TRUE when reached by a regular
-   edge and FALSE by a complemented one.  Shared by all managers: it
-   carries no manager-specific state and making it global lets constants
-   be compared with == across the package. *)
-let rec terminal_node =
-  { id = 0; level = terminal_level; low = terminal_node; low_neg = false;
-    high = terminal_node }
+let tru = 0
+let fls = 1
 
-let tru = { node = terminal_node; neg = false }
-let fls = { node = terminal_node; neg = true }
-
-let is_terminal_node n = n == terminal_node
-let is_const e = e.node == terminal_node
-let is_true e = e.node == terminal_node && not e.neg
-let is_false e = e.node == terminal_node && e.neg
-
-let equal a b = a.node == b.node && a.neg = b.neg
-
-let neg e = { e with neg = not e.neg }
-
+let[@inline] is_const e = e <= 1
+let[@inline] is_true e = e = 0
+let[@inline] is_false e = e = 1
+let[@inline] neg e = e lxor 1
+let[@inline] node e = e lsr 1
 let of_bool b = if b then tru else fls
 
-(* Integer tag identifying an edge; used as a memo-table key. *)
-let tag e = (e.node.id * 2) + Bool.to_int e.neg
+(* Node fields.  Every edge the kernel handles names an interned node of
+   this store (the facade rejects handles of another store), so the
+   reads need no bounds check. *)
+let[@inline] level st e = Array.unsafe_get st.nodes (3 * (e lsr 1))
 
-let level e = e.node.level
+let[@inline] low st e =
+  Array.unsafe_get st.nodes ((3 * (e lsr 1)) + 1) lxor (e land 1)
 
-let low_edge n = { node = n.low; neg = n.low_neg }
-let high_edge n = { node = n.high; neg = false }
+let[@inline] high st e =
+  Array.unsafe_get st.nodes ((3 * (e lsr 1)) + 2) lxor (e land 1)
 
-(* Cofactors of an edge [e] with respect to the variable at level [v].
-   If the root of [e] is above [v] the edge does not depend on that
-   variable and both cofactors are [e] itself. *)
-let cofactors e v =
-  if e.node.level = v then
-    let lo = { node = e.node.low; neg = e.node.low_neg <> e.neg } in
-    let hi = { node = e.node.high; neg = e.neg } in
-    (lo, hi)
-  else (e, e)
+(* Cofactors of [e] with respect to the variable at level [v]: [e]
+   itself when its root lies below [v]. *)
+let[@inline] cof0 st e v = if level st e = v then low st e else e
+let[@inline] cof1 st e v = if level st e = v then high st e else e
 
-let hash_node n =
-  let h = (n.level * 0x9e3779b1) lxor (n.low.id * 2 + Bool.to_int n.low_neg) in
-  (h * 0x85ebca6b) lxor n.high.id
+(* Start a walk: afterwards [stamps.(n) = stamp] means "visited". *)
+let new_stamp st =
+  st.stamp <- st.stamp + 1;
+  st.stamp
 
-let node_structurally_equal a b =
-  a.level = b.level && a.low == b.low && a.low_neg = b.low_neg
-  && a.high == b.high
+(* --- handles ----------------------------------------------------------- *)
+
+(* Drop the registry entries whose handles the OCaml GC has collected,
+   and double the registry when more than half of it is still in use. *)
+let compact_handles st =
+  let w = st.handles in
+  let kept = ref 0 in
+  for i = 0 to st.handle_count - 1 do
+    if Weak.check w i then begin
+      if i <> !kept then Weak.blit w i w !kept 1;
+      incr kept
+    end
+  done;
+  Weak.fill w !kept (st.handle_count - !kept) None;
+  st.handle_count <- !kept;
+  if 2 * !kept > Weak.length w then begin
+    let grown = Weak.create (2 * Weak.length w) in
+    Weak.blit w 0 grown 0 !kept;
+    st.handles <- grown
+  end
+
+(* The handle for [e].  Constants need no root: the terminal is never
+   freed. *)
+let handle st e =
+  let h = { edge = e; store = st } in
+  if e > 1 then begin
+    if st.handle_count = Weak.length st.handles then compact_handles st;
+    Weak.set st.handles st.handle_count (Some h);
+    st.handle_count <- st.handle_count + 1
+  end;
+  h

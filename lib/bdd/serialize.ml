@@ -14,39 +14,42 @@ open Repr
 (* Core writer, parametrised over the output sink so the same code
    serves channels (checkpoints) and in-memory strings (shipping BDDs
    between domains, where a string is immutable and safely shared). *)
-let write_gen out roots =
+let write_gen out (roots : Repr.t list) =
   let order = ref [] in
   let index = Hashtbl.create 64 in
   let rec visit n =
-    if not (Hashtbl.mem index n.id) then begin
-      if is_terminal_node n then Hashtbl.replace index n.id 0
+    if not (Hashtbl.mem index n) then begin
+      if n = 0 then Hashtbl.replace index n 0
       else begin
-        visit n.low;
-        visit n.high;
-        Hashtbl.replace index n.id (Hashtbl.length index);
+        let st = (List.hd roots).store and r = n lsl 1 in
+        visit (node (low st r));
+        visit (node (high st r));
+        Hashtbl.replace index n (Hashtbl.length index);
         order := n :: !order
       end
     end
   in
-  List.iter (fun r -> visit r.node) roots;
+  List.iter (fun (r : Repr.t) -> visit (node r.edge)) roots;
   (* The terminal may be absent if every root is constant. *)
   if not (Hashtbl.mem index 0) then Hashtbl.replace index 0 0;
   let nodes = List.rev !order in
   out (Printf.sprintf "bdd %d %d\n" (List.length nodes) (List.length roots));
   List.iter
     (fun n ->
+      let st = (List.hd roots).store and r = n lsl 1 in
+      let lo = low st r in
       out
-        (Printf.sprintf "%d %d %d %d %d\n" (Hashtbl.find index n.id) n.level
-           (Hashtbl.find index n.low.id)
-           (Bool.to_int n.low_neg)
-           (Hashtbl.find index n.high.id)))
+        (Printf.sprintf "%d %d %d %d %d\n" (Hashtbl.find index n) (level st r)
+           (Hashtbl.find index (node lo))
+           (lo land 1)
+           (Hashtbl.find index (node (high st r)))))
     nodes;
   List.iter
-    (fun r ->
+    (fun (r : Repr.t) ->
       out
         (Printf.sprintf "root %d %d\n"
-           (Hashtbl.find index r.node.id)
-           (Bool.to_int r.neg)))
+           (Hashtbl.find index (node r.edge))
+           (r.edge land 1)))
     roots
 
 let write oc roots = write_gen (output_string oc) roots
@@ -132,8 +135,7 @@ let of_string ?map man s =
   in
   read_gen ?map man next
 
-let to_file man path roots =
-  ignore man;
+let to_file path roots =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc roots)
 

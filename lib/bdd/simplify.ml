@@ -11,37 +11,38 @@ open Repr
 let rec restrict man f c =
   if is_true c || is_const f then f
   else if is_false c then invalid_arg "Bdd.restrict: empty care set"
-  else if equal f c then tru
-  else if equal f (neg c) then fls
+  else if f = c then tru
+  else if f = neg c then fls
   else begin
     let cache = man.Man.computed in
-    let a = tag f and b = tag c in
-    let r = Computed.find cache Computed.op_restrict a b 0 in
-    if r != Computed.absent then begin
+    let st = man.Man.store in
+    let r = Computed.find cache Computed.op_restrict f c 0 in
+    if r >= 0 then begin
       Man.hit man.Man.stat_restrict;
       r
     end
     else begin
       Man.miss man.Man.stat_restrict;
       Man.tick man;
-      let lf = level f and lc = level c in
+      let lf = level st f and lc = level st c in
       let r =
         if lc < lf then
           (* f does not depend on c's top variable: drop it from the
              care set (Restrict(f, c_x \/ c_xbar)). *)
-          let c0, c1 = cofactors c lc in
-          restrict man f (Ops.bor man c0 c1)
+          restrict man f (Ops.bor man (low st c) (high st c))
         else begin
-          let f0, f1 = cofactors f lf in
-          let c0, c1 = cofactors c lf in
+          let f0 = low st f and f1 = high st f in
+          let c0 = cof0 st c lf and c1 = cof1 st c lf in
           if is_false c0 then restrict man f1 c1
           else if is_false c1 then restrict man f0 c0
-          else
-            Man.mk man lf ~low:(restrict man f0 c0)
-              ~high:(restrict man f1 c1)
+          else begin
+            let hi = restrict man f1 c1 in
+            let lo = restrict man f0 c0 in
+            Man.mk man lf ~low:lo ~high:hi
+          end
         end
       in
-      Computed.store cache Computed.op_restrict a b 0 r;
+      Computed.store cache Computed.op_restrict f c 0 r;
       r
     end
   end
@@ -66,23 +67,26 @@ let multi_restrict man f cs =
   let cs = List.filter (fun c -> not (is_true c)) cs in
   if List.exists is_false cs then
     invalid_arg "Bdd.multi_restrict: empty care set";
-  let memo : (int * int list, Repr.t) Hashtbl.t = Hashtbl.create 64 in
+  let st = man.Man.store in
+  let memo : (int * int list, int) Hashtbl.t = Hashtbl.create 64 in
   let rec go f cs =
     (* Keep only care conjuncts that can still prune something. *)
     let cs =
-      List.filter (fun c -> not (is_true c)) (List.sort_uniq compare_tag cs)
+      List.filter (fun c -> not (is_true c)) (List.sort_uniq Int.compare cs)
     in
     if is_const f || cs = [] then f
-    else if List.exists (fun c -> equal c f) cs then tru
-    else if List.exists (fun c -> equal c (neg f)) cs then fls
+    else if List.mem f cs then tru
+    else if List.mem (neg f) cs then fls
     else begin
-      let key = (tag f, List.map tag cs) in
+      let key = (f, cs) in
       match Hashtbl.find_opt memo key with
       | Some r -> r
       | None ->
         Man.tick man;
-        let lf = level f in
-        let lc = List.fold_left (fun acc c -> min acc (level c)) max_int cs in
+        let lf = level st f in
+        let lc =
+          List.fold_left (fun acc c -> Int.min acc (level st c)) max_int cs
+        in
         let r =
           if lc < lf then begin
             (* Drop the care-only variable from every conjunct rooted
@@ -90,56 +94,60 @@ let multi_restrict man f cs =
             let cs' =
               List.map
                 (fun c ->
-                  if level c = lc then
-                    let c0, c1 = cofactors c lc in
-                    Ops.bor man c0 c1
+                  if level st c = lc then Ops.bor man (low st c) (high st c)
                   else c)
                 cs
             in
             go f cs'
           end
           else begin
-            let f0, f1 = cofactors f lf in
-            let c0s = List.map (fun c -> fst (cofactors c lf)) cs in
-            let c1s = List.map (fun c -> snd (cofactors c lf)) cs in
+            let f0 = low st f and f1 = high st f in
+            let c0s = List.map (fun c -> cof0 st c lf) cs in
+            let c1s = List.map (fun c -> cof1 st c lf) cs in
             if List.exists is_false c0s then go f1 c1s
             else if List.exists is_false c1s then go f0 c0s
-            else Man.mk man lf ~low:(go f0 c0s) ~high:(go f1 c1s)
+            else begin
+              let hi = go f1 c1s in
+              let lo = go f0 c0s in
+              Man.mk man lf ~low:lo ~high:hi
+            end
           end
         in
         Hashtbl.replace memo key r;
         r
     end
-  and compare_tag a b = compare (tag a) (tag b) in
+  in
   go f cs
 
 let rec constrain man f c =
   if is_true c || is_const f then f
   else if is_false c then invalid_arg "Bdd.constrain: empty care set"
-  else if equal f c then tru
-  else if equal f (neg c) then fls
+  else if f = c then tru
+  else if f = neg c then fls
   else begin
     let cache = man.Man.computed in
-    let a = tag f and b = tag c in
-    let r = Computed.find cache Computed.op_constrain a b 0 in
-    if r != Computed.absent then begin
+    let st = man.Man.store in
+    let r = Computed.find cache Computed.op_constrain f c 0 in
+    if r >= 0 then begin
       Man.hit man.Man.stat_constrain;
       r
     end
     else begin
       Man.miss man.Man.stat_constrain;
       Man.tick man;
-      let v = min (level f) (level c) in
-      let f0, f1 = cofactors f v in
-      let c0, c1 = cofactors c v in
+      let v = Int.min (level st f) (level st c) in
+      let f0 = cof0 st f v and f1 = cof1 st f v in
+      let c0 = cof0 st c v and c1 = cof1 st c v in
       let r =
         if is_false c1 then constrain man f0 c0
         else if is_false c0 then constrain man f1 c1
-        else
-          Man.mk man v ~low:(constrain man f0 c0)
-            ~high:(constrain man f1 c1)
+        else begin
+          let hi = constrain man f1 c1 in
+          let lo = constrain man f0 c0 in
+          Man.mk man v ~low:lo ~high:hi
+        end
       in
-      Computed.store cache Computed.op_constrain a b 0 r;
+      Computed.store cache Computed.op_constrain f c 0 r;
       r
     end
   end

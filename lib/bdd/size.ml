@@ -1,105 +1,98 @@
-(* Size accounting, support and model counting.
+(* Size accounting, support and model counting over the edges of one
+   store.
 
    [size_list] measures a whole implicit conjunction at once, counting
    shared nodes a single time -- this is the BDDSize(Xi, Xj) of the
    paper's evaluation heuristic (Figure 1), where node sharing between
-   conjuncts must be taken into account. *)
+   conjuncts must be taken into account.  Walks mark visited nodes in
+   the store's stamp array, so they allocate nothing per node. *)
 
 open Repr
 
 (* Number of distinct nodes reachable from the edges, terminal included
    (matching the convention of the paper's node counts). *)
-let size_list fs =
-  let seen = Hashtbl.create 64 in
+let size_list st fs =
+  let s = new_stamp st in
+  let stamps = st.stamps and nodes = st.nodes in
+  let count = ref 0 in
   let rec visit n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      if not (is_terminal_node n) then begin
-        visit n.low;
-        visit n.high
+    if stamps.(n) <> s then begin
+      stamps.(n) <- s;
+      incr count;
+      if n <> 0 then begin
+        visit (nodes.((3 * n) + 1) lsr 1);
+        visit (nodes.((3 * n) + 2) lsr 1)
       end
     end
   in
-  List.iter (fun f -> visit f.node) fs;
-  Hashtbl.length seen
+  List.iter (fun f -> visit (node f)) fs;
+  !count
 
-let size f = size_list [ f ]
-
-let support_list fs =
-  let seen = Hashtbl.create 64 in
+let support_list st fs =
+  let s = new_stamp st in
+  let stamps = st.stamps and nodes = st.nodes in
   let levels = Hashtbl.create 16 in
   let rec visit n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      if not (is_terminal_node n) then begin
-        Hashtbl.replace levels n.level ();
-        visit n.low;
-        visit n.high
+    if stamps.(n) <> s then begin
+      stamps.(n) <- s;
+      if n <> 0 then begin
+        Hashtbl.replace levels nodes.(3 * n) ();
+        visit (nodes.((3 * n) + 1) lsr 1);
+        visit (nodes.((3 * n) + 2) lsr 1)
       end
     end
   in
-  List.iter (fun f -> visit f.node) fs;
+  List.iter (fun f -> visit (node f)) fs;
   List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) levels [])
-
-let support f = support_list [ f ]
 
 (* Number of satisfying assignments over [nvars] variables (levels
    0..nvars-1 are assumed to cover the support).  Computed in floats:
    the models verified here stay far below 2^53 distinguishable
    assignments per node. *)
-let sat_count ~nvars f =
+let sat_count st ~nvars f =
   let memo = Hashtbl.create 64 in
-  (* count n = models of the REGULAR function of node n over the levels
-     strictly below n.level, normalised per remaining variable. *)
+  (* fraction of assignments to vars >= level e satisfying e, seen as a
+     function of variables level(e)..nvars-1 --- computed as a pure
+     probability with independent fair bits, which is exact. *)
   let rec fraction e =
-    (* fraction of assignments to vars >= level e satisfying e, seen as
-       a function of variables level(e)..nvars-1 --- computed as a pure
-       probability with independent fair bits, which is exact. *)
     if is_true e then 1.0
     else if is_false e then 0.0
     else begin
-      let key = tag e in
-      match Hashtbl.find_opt memo key with
+      match Hashtbl.find_opt memo e with
       | Some p -> p
       | None ->
-        let v = level e in
-        let e0, e1 = cofactors e v in
-        let p = 0.5 *. (fraction e0 +. fraction e1) in
-        Hashtbl.replace memo key p;
+        let p = 0.5 *. (fraction (low st e) +. fraction (high st e)) in
+        Hashtbl.replace memo e p;
         p
     end
   in
   fraction f *. (2.0 ** float_of_int nvars)
 
 (* Evaluate under a total assignment (indexed by level). *)
-let eval env f =
+let eval st env f =
   let rec go e =
-    if is_const e then not e.neg
-    else begin
-      let v = level e in
-      let e0, e1 = cofactors e v in
-      if env.(v) then go e1 else go e0
-    end
+    if is_const e then is_true e
+    else if env.(level st e) then go (high st e)
+    else go (low st e)
   in
   go f
 
 (* A satisfying assignment for the variables in [vars]; variables not
    constrained by the path are set to false.  Raises [Not_found] on the
    constant false. *)
-let pick_minterm ~vars f =
+let pick_minterm st ~vars f =
   if is_false f then raise Not_found;
   let n = 1 + List.fold_left max (-1) vars in
   let env = Array.make (max n 1) false in
   let rec walk e =
-    if is_const e then ()
-    else begin
-      let v = level e in
-      let e0, e1 = cofactors e v in
+    if not (is_const e) then begin
+      let v = level st e in
+      let e1 = high st e in
       if not (is_false e1) then begin
         if v < Array.length env then env.(v) <- true;
         walk e1
       end
-      else walk e0
+      else walk (low st e)
     end
   in
   walk f;

@@ -1,177 +1,179 @@
-(* The unique table: a purpose-built, resizable, open-addressed hash
-   set of nodes, replacing the stdlib [Weak.Make] bucketed set.
+(* The node store and its unique table.
 
-   Two properties the old set lacked:
+   Nodes live in one flat [int array] of (level, low, high) triples that
+   doubles when full.  The unique table is an open-addressed [int array]
+   with linear probing; a slot holds a node index and 16 bits of its
+   hash (0 = empty), and a probe compares the three words of a candidate
+   node only when those bits match.  The table holds no pointer.
 
-   - an O(1) live-node counter ([live]), instead of the full-table scan
-     [Weak.Make.count] performed on every [live_nodes] query and every
-     peak sample;
-   - linear probing over two flat arrays (an [int] array of cached
-     hashes and a parallel weak array of nodes), so a lookup touches
-     contiguous memory instead of chasing bucket lists.
+   Nothing leaves the table inside an operation.  [collect] (driven by
+   [Bdd.gc]) is the only place nodes are freed: it marks every node
+   reachable from the given roots, threads the rest onto a free list
+   that later insertions reuse, and rebuilds the table from the
+   survivors.  Between collections [live] counts every node interned
+   since the last one; right after a collection it is exact. *)
 
-   GC semantics are unchanged: node storage is a [Weak.t], so nodes
-   unreachable from outside are reclaimed by the ordinary OCaml GC.  A
-   collected slot is discovered lazily -- any probe that walks over it
-   turns it into a tombstone and decrements [live] -- and eagerly by
-   [sweep] (called from [Bdd.gc] after a major collection), which
-   rescans the whole table once and makes [live] exact.  Between
-   sweeps [live] is therefore an upper bound: it counts every node not
-   yet *observed* dead.
+open Repr
 
-   The hash of each entry is cached in [hashes], with two reserved
-   words ([empty], [tomb]); probing compares cached hashes first and
-   dereferences the weak slot only on a hash match. *)
+let initial_buckets = 1 lsl 14
+let initial_nodes = 1 lsl 12
 
-type t = {
-  mutable hashes : int array; (* empty | tomb | cached hash (>= 0) *)
-  mutable slots : Repr.node Weak.t;
-  mutable mask : int; (* capacity - 1; capacity is a power of two *)
-  mutable live : int; (* entries not yet observed dead *)
-  mutable tombs : int;
-  mutable limit : int; (* resize when live + tombs exceeds this *)
-  mutable resizes : int;
-  mutable sweeps : int;
-}
-
-let empty = min_int
-let tomb = min_int + 1
-
-let hash_parts lvl (lo : Repr.node) lo_neg (hi : Repr.node) =
-  let h = (lvl * 0x9e3779b1) lxor ((lo.Repr.id * 2) + Bool.to_int lo_neg) in
-  ((h * 0x85ebca6b) lxor hi.Repr.id) land max_int
-
-let hash_node (n : Repr.node) =
-  hash_parts n.Repr.level n.Repr.low n.Repr.low_neg n.Repr.high
-
-let create capacity =
-  let capacity = max capacity 16 in
+let create () =
+  let nodes = Array.make (3 * initial_nodes) 0 in
+  (* the terminal: node 0, below every variable *)
+  nodes.(0) <- terminal_level;
   {
-    hashes = Array.make capacity empty;
-    slots = Weak.create capacity;
-    mask = capacity - 1;
+    nodes;
+    next = 1;
+    free = 0;
     live = 0;
-    tombs = 0;
-    limit = capacity - (capacity / 4);
+    buckets = Array.make initial_buckets 0;
+    mask = initial_buckets - 1;
     resizes = 0;
     sweeps = 0;
+    stamps = Array.make initial_nodes 0;
+    stamp = 0;
+    handles = Weak.create 1024;
+    handle_count = 0;
   }
 
-let live t = t.live
-let capacity t = t.mask + 1
+let[@inline] hash lvl lo hi =
+  let h = (lvl * 0x9e3779b1) lxor lo in
+  let h = (h * 0x85ebca6b) lxor hi in
+  h lxor (h lsr 16)
 
-(* Insert a node known to be absent (used by [resize]); no equality
-   checks, tombstones impossible in a fresh table. *)
-let reinsert t n =
-  let h = hash_node n in
-  let mask = t.mask in
+(* A bucket holds [node lsl 16 lor tag], where [tag] is 16 bits of the
+   node's hash that the slot index does not use: a probe dereferences a
+   candidate node only when its tag matches. *)
+let[@inline] tag_of h = (h lsr 40) land 0xFFFF
+
+(* Place node [n] (known absent) in [buckets]. *)
+let reinsert st n =
+  let nodes = st.nodes in
+  let b = 3 * n in
+  let mask = st.mask in
+  let h = hash nodes.(b) nodes.(b + 1) nodes.(b + 2) in
   let i = ref (h land mask) in
-  while t.hashes.(!i) <> empty do
+  while st.buckets.(!i) <> 0 do
     i := (!i + 1) land mask
   done;
-  t.hashes.(!i) <- h;
-  Weak.set t.slots !i (Some n)
+  st.buckets.(!i) <- (n lsl 16) lor tag_of h
 
-(* Rebuild at a capacity fitting the live population; doubles under
-   growth and merely flushes tombstones when most entries have died.
-   This is also where [live] snaps back to an exact count. *)
-let resize t =
-  let old_hashes = t.hashes and old_slots = t.slots in
-  let old_cap = t.mask + 1 in
-  (* collect survivors first so the new size can depend on them *)
-  let survivors = ref [] in
-  let n_live = ref 0 in
-  for i = 0 to old_cap - 1 do
-    if old_hashes.(i) >= 0 then
-      match Weak.get old_slots i with
-      | Some n ->
-        survivors := n :: !survivors;
-        incr n_live
-      | None -> ()
-  done;
-  let needed = max 16 (!n_live * 2) in
-  let cap = ref old_cap in
-  while !cap < needed do
-    cap := !cap * 2
-  done;
-  while !cap > 16 && !cap / 4 > needed do
-    cap := !cap / 2
-  done;
-  t.hashes <- Array.make !cap empty;
-  t.slots <- Weak.create !cap;
-  t.mask <- !cap - 1;
-  t.live <- !n_live;
-  t.tombs <- 0;
-  t.limit <- !cap - (!cap / 4);
-  t.resizes <- t.resizes + 1;
-  List.iter (reinsert t) !survivors
+(* A fresh table of [cap] slots holding every interned node. *)
+let rebuild st cap =
+  st.buckets <- Array.make cap 0;
+  st.mask <- cap - 1;
+  let nodes = st.nodes in
+  for n = 1 to st.next - 1 do
+    if nodes.(3 * n) <> free_level then reinsert st n
+  done
 
-(* Mark slot [i] (whose node has been collected) as a tombstone. *)
-let[@inline] reap t i =
-  t.hashes.(i) <- tomb;
-  t.live <- t.live - 1;
-  t.tombs <- t.tombs + 1
-
-(* Find the node structurally equal to [probe], or insert [probe].
-   Returns the canonical node either way ([== probe] iff inserted). *)
-let merge t (probe : Repr.node) =
-  let h = hash_node probe in
-  let mask = t.mask in
+(* The node (level, lo, hi), or [lnot slot] for the empty slot where it
+   belongs.  [hi] is a regular edge. *)
+let find st lvl lo hi =
+  let nodes = st.nodes and buckets = st.buckets and mask = st.mask in
+  (* a loop, not a local recursive function: that would allocate a
+     closure on every call *)
+  let h = hash lvl lo hi in
+  let tag = tag_of h in
   let i = ref (h land mask) in
-  let free = ref (-1) in
-  let result = ref None in
-  (try
-     while true do
-       let w = t.hashes.(!i) in
-       if w = empty then begin
-         (* absent: insert at the first reusable slot on the chain *)
-         let j = if !free >= 0 then !free else !i in
-         if t.hashes.(j) = tomb then t.tombs <- t.tombs - 1;
-         t.hashes.(j) <- h;
-         Weak.set t.slots j (Some probe);
-         t.live <- t.live + 1;
-         if t.live + t.tombs > t.limit then resize t;
-         result := Some probe;
-         raise Exit
-       end
-       else if w = tomb then begin
-         if !free < 0 then free := !i
-       end
-       else if w = h then begin
-         match Weak.get t.slots !i with
-         | Some n when Repr.node_structurally_equal n probe ->
-           result := Some n;
-           raise Exit
-         | Some _ -> ()
-         | None ->
-           reap t !i;
-           if !free < 0 then free := !i
-       end
-       else if not (Weak.check t.slots !i) then begin
-         (* opportunistic reaping keeps [live] fresh and chains short *)
-         reap t !i;
-         if !free < 0 then free := !i
-       end;
-       i := (!i + 1) land mask
-     done
-   with Exit -> ());
-  match !result with Some n -> n | None -> assert false
-
-(* Exact pass: tombstone every collected entry and make [live] exact.
-   O(capacity); called from [Bdd.gc] right after a major collection. *)
-let sweep t =
-  let cap = t.mask + 1 in
-  for i = 0 to cap - 1 do
-    if t.hashes.(i) >= 0 && not (Weak.check t.slots i) then reap t i
+  let result = ref 0 in
+  while !result = 0 do
+    let w = Array.unsafe_get buckets !i in
+    if w = 0 then result := lnot !i
+    else begin
+      let n = w lsr 16 in
+      let b = 3 * n in
+      if
+        w land 0xFFFF = tag
+        && Array.unsafe_get nodes b = lvl
+        && Array.unsafe_get nodes (b + 1) = lo
+        && Array.unsafe_get nodes (b + 2) = hi
+      then result := n
+      else i := (!i + 1) land mask
+    end
   done;
-  t.sweeps <- t.sweeps + 1;
-  if t.tombs > cap / 2 then resize t
+  !result
 
-let stats t =
+let grow_nodes st =
+  let cap = Array.length st.stamps in
+  let nodes = Array.make (6 * cap) 0 in
+  Array.blit st.nodes 0 nodes 0 (3 * cap);
+  st.nodes <- nodes;
+  let stamps = Array.make (2 * cap) 0 in
+  Array.blit st.stamps 0 stamps 0 cap;
+  st.stamps <- stamps
+
+(* Intern (level, lo, hi) at [slot], the empty slot [find] returned, and
+   return the new node.  Reuses a freed node before a never-used one. *)
+let add st slot lvl lo hi =
+  let n =
+    if st.free <> 0 then begin
+      let n = st.free in
+      st.free <- st.nodes.((3 * n) + 1);
+      n
+    end
+    else begin
+      if st.next = Array.length st.stamps then grow_nodes st;
+      let n = st.next in
+      st.next <- n + 1;
+      n
+    end
+  in
+  let nodes = st.nodes in
+  let b = 3 * n in
+  nodes.(b) <- lvl;
+  nodes.(b + 1) <- lo;
+  nodes.(b + 2) <- hi;
+  st.buckets.(slot) <- (n lsl 16) lor tag_of (hash lvl lo hi);
+  st.live <- st.live + 1;
+  (* keep the load at most 1/2, so a miss stops within a few probes *)
+  if 2 * st.live > st.mask + 1 then begin
+    st.resizes <- st.resizes + 1;
+    rebuild st (2 * (st.mask + 1))
+  end;
+  n
+
+(* Free every node not reachable from the root edges [iter_roots]
+   enumerates, then rebuild the table at a size fitting the survivors. *)
+let collect st iter_roots =
+  let s = new_stamp st in
+  let nodes = st.nodes and stamps = st.stamps in
+  let rec mark n =
+    if stamps.(n) <> s then begin
+      stamps.(n) <- s;
+      if n <> 0 then begin
+        mark (nodes.((3 * n) + 1) lsr 1);
+        mark (nodes.((3 * n) + 2) lsr 1)
+      end
+    end
+  in
+  iter_roots (fun e -> mark (node e));
+  (* Thread the dead onto the free list from the top down, so the
+     lowest free index is reused first. *)
+  st.free <- 0;
+  st.live <- 0;
+  for n = st.next - 1 downto 1 do
+    let b = 3 * n in
+    if nodes.(b) = free_level || stamps.(n) <> s then begin
+      nodes.(b) <- free_level;
+      nodes.(b + 1) <- st.free;
+      nodes.(b + 2) <- 0;
+      st.free <- n
+    end
+    else st.live <- st.live + 1
+  done;
+  st.sweeps <- st.sweeps + 1;
+  let cap = ref initial_buckets in
+  while !cap < 2 * st.live do
+    cap := 2 * !cap
+  done;
+  rebuild st !cap
+
+let stats st =
   [
-    ("slots", t.mask + 1);
-    ("live", t.live);
-    ("tombstones", t.tombs);
-    ("resizes", t.resizes);
-    ("sweeps", t.sweeps);
+    ("slots", st.mask + 1);
+    ("live", st.live);
+    ("resizes", st.resizes);
+    ("sweeps", st.sweeps);
   ]

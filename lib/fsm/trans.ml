@@ -158,8 +158,9 @@ let pre_image ?(via = `Auto) t z =
   | `Compose -> pre_image_compose t z
   | `Relational -> pre_image_relational t z
   | `Auto ->
-    let node_budget = 1_000_000 + (64 * Bdd.size z) in
-    let step_budget = 4_000_000 + (256 * Bdd.size z) in
+    let size_z = Bdd.size z in
+    let node_budget = 1_000_000 + (64 * size_z) in
+    let step_budget = 4_000_000 + (256 * size_z) in
     (match
        Bdd.with_node_budget (man t) ~max_new_nodes:node_budget
          ~max_steps:step_budget (fun () -> pre_image_compose t z)

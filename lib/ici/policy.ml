@@ -98,9 +98,12 @@ let simplify_pass man cfg xs =
     if Clist.is_false xs then xs
     else begin
       let arr = Array.of_list xs in
+      (* [sizes.(k)] is [Bdd.size arr.(k)], kept in step with [arr]:
+         each conjunct is walked once, not once per comparison. *)
+      let sizes = Array.map Bdd.size arr in
       let order =
         List.sort
-          (fun i j -> compare (Bdd.size arr.(i)) (Bdd.size arr.(j)))
+          (fun i j -> compare sizes.(i) sizes.(j))
           (List.init (Array.length arr) (fun i -> i))
       in
       let collapsed = ref false in
@@ -111,10 +114,11 @@ let simplify_pass man cfg xs =
               if (not !collapsed) && j <> i
                  && (not (Bdd.is_const arr.(j)))
                  && (not (Bdd.is_const arr.(i)))
-                 && Bdd.size arr.(j) < Bdd.size arr.(i)
+                 && sizes.(j) < sizes.(i)
               then begin
                 let r = apply_simplifier man s arr.(i) arr.(j) in
-                if Bdd.size r < Bdd.size arr.(i) then
+                let size_r = Bdd.size r in
+                if size_r < sizes.(i) then
                   Obs.Registry.incr M.restrict_wins
                 else Obs.Registry.incr M.restrict_losses;
                 (* r = false means x_i /\ x_j is unsatisfiable. *)
@@ -122,7 +126,10 @@ let simplify_pass man cfg xs =
                   Obs.Registry.incr M.collapses;
                   collapsed := true
                 end
-                else arr.(i) <- r
+                else begin
+                  arr.(i) <- r;
+                  sizes.(i) <- size_r
+                end
               end)
             order)
         order;
@@ -130,15 +137,20 @@ let simplify_pass man cfg xs =
       else Clist.of_list man (Array.to_list arr)
     end
 
+(* A scored pair: the conjunction with its size, and the shared size
+   of its two operands.  BDD sizes are pure, so they are measured once,
+   when the pair is scored, not on every merge round. *)
+type pair = { conj : Bdd.t; conj_size : int; shared_size : int }
+
 (* The pair table P of Figure 1, held by the caller so entries survive
    across [improve] calls (one traversal iteration each): pairs whose
    operands did not change between iterations keep their scored
-   conjunction.  Node ids are monotone (never reused), so a stale tag
-   key can never alias a different node -- but after a [Bdd.gc] the
-   cached BDD values may be dead, so the table is invalidated whenever
-   the manager's gc generation moves. *)
+   conjunction.  Keys are conjunct tags.  A [Bdd.gc] may free a node
+   whose tag later comes back for a different function, so the table
+   is invalidated whenever the manager's gc generation moves; until
+   then no tag is reused, and a stale key cannot alias. *)
 type state = {
-  pairs : (int * int, Bdd.t option) Hashtbl.t;
+  pairs : (int * int, pair option) Hashtbl.t;
   mutable gc_generation : int;
 }
 
@@ -174,12 +186,18 @@ let greedy_evaluate man ?state ?pair_step_factor ~grow_threshold xs =
       p
     | None ->
       Obs.Registry.incr M.pairs_scored;
-      let p =
+      let shared_size = Bdd.size_list [ a; b ] in
+      let conj =
         match pair_step_factor with
         | None -> Some (Bdd.band man a b)
         | Some factor ->
-          let max_steps = (factor * Bdd.size_list [ a; b ]) + 1024 in
+          let max_steps = (factor * shared_size) + 1024 in
           Bdd.band_bounded man ~max_steps a b
+      in
+      let p =
+        Option.map
+          (fun conj -> { conj; conj_size = Bdd.size conj; shared_size })
+          conj
       in
       if Option.is_none p then Obs.Registry.incr M.pairs_abandoned;
       Hashtbl.replace pair_cache key p;
@@ -198,8 +216,7 @@ let greedy_evaluate man ?state ?pair_step_factor ~grow_threshold xs =
           | None -> () (* budget blown: ratio is effectively infinite *)
           | Some p ->
             let ratio =
-              float_of_int (Bdd.size p)
-              /. float_of_int (Bdd.size_list [ arr.(i); arr.(j) ])
+              float_of_int p.conj_size /. float_of_int p.shared_size
             in
             (match !best with
             | Some (r, _, _, _) when r <= ratio -> ()
@@ -216,7 +233,7 @@ let greedy_evaluate man ?state ?pair_step_factor ~grow_threshold xs =
         let rest =
           List.filteri (fun k _ -> k <> i && k <> j) (Array.to_list arr)
         in
-        loop (Clist.of_list man (p :: rest))
+        loop (Clist.of_list man (p.conj :: rest))
       | Some _ | None -> xs)
   in
   loop (Clist.of_list man xs)

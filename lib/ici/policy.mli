@@ -40,11 +40,12 @@ val simplify_pass : Bdd.man -> config -> Clist.t -> Clist.t
 
 type state
 (** The pair table P of Figure 1, held by the traversal loop so scored
-    pairs survive across {!improve} calls.  Keyed by conjunct tags
-    (node ids are never reused, so stale keys cannot alias) and
-    invalidated automatically when the manager's gc generation
-    ({!Bdd.gc_events}) moves, since cached BDD values may be dead after
-    a collection. *)
+    pairs survive across {!improve} calls.  Keyed by conjunct tags,
+    with each pair's conjunction and the two sizes its ratio needs.
+    Invalidated automatically when the manager's gc generation
+    ({!Bdd.gc_events}) moves, because a collection may free a node and
+    later reuse its tag for a different function; between collections
+    no tag is reused, so stale keys cannot alias. *)
 
 val create_state : unit -> state
 (** A fresh, empty pair table.  One per traversal run; sharing across

@@ -162,10 +162,13 @@ let run ?limits ?(meth = Runner.Xici) ?xici_cfg ?termination ?var_choice
         buckets
     in
     let parts = Array.to_list (Array.map Domain.join doms) in
+    (* A worker's items name its private manager's copy of their
+       property; hand back the caller's own. *)
+    let props = Array.of_list props in
     let items =
       List.concat_map fst parts
       |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
+      |> List.map (fun (idx, it) -> { it with prop = props.(idx) })
     in
     let stats =
       {

@@ -35,9 +35,9 @@ let check t man =
     raise (Exceeded (Printf.sprintf "exceeded %d BDD nodes" n))
   | Some _ | None -> ());
   (* Live nodes are the analog of the paper's resident-memory limit.
-     The unique table maintains the count in O(1) (an upper bound
-     between sweeps, which is the conservative direction for a
-     budget). *)
+     The manager keeps the count in O(1).  Only [Bdd.gc] frees nodes,
+     so between collections it counts every node interned since the
+     last one: the conservative direction for a budget. *)
   (match t.max_live_nodes with
   | Some n when Bdd.live_nodes man > n ->
     raise (Exceeded (Printf.sprintf "exceeded %d live BDD nodes" n))

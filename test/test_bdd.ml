@@ -385,12 +385,12 @@ let test_sift_recovers_grouped_order () =
       (Bdd.size g' < before)
   | _ -> Alcotest.fail "one root expected"
 
-let test_weak_table_gc () =
-  (* The unique table is weak: after dropping references and forcing a
-     GC, dead nodes disappear, live roots stay canonical, and
-     re-building a collected function yields a BDD equal to a retained
-     twin.  This is the torture test for hash-consing across
-     collections. *)
+let test_gc_keeps_roots () =
+  (* [Bdd.gc] frees what no held handle reaches: after dropping
+     references, dead nodes disappear, held roots stay canonical, and
+     re-building a collected function (now on reused node slots) yields
+     a BDD equal to the retained twin.  This is the torture test for
+     hash-consing across collections. *)
   let man, vars = Testutil.fresh_man 8 in
   let build k =
     (* a k-dependent function over all 8 variables *)
@@ -426,7 +426,7 @@ let test_weak_table_gc () =
 (* --- computed / unique table internals ------------------------------- *)
 
 (* Basic integrity of the lossy computed table: a find answers with the
-   exact value stored under that exact packed key or with [absent] --
+   exact value stored under that exact packed key or with [miss] --
    never with a value stored under a different key, however many
    collisions and evictions happened in between. *)
 let test_computed_table_integrity () =
@@ -435,20 +435,19 @@ let test_computed_table_integrity () =
   let tbl = C.create ~budget:64 in
   Alcotest.(check int) "budget caps slots" 64 (C.slots tbl);
   (* Overfill: 200 distinct keys into 64 slots, each with a distinct
-     recognisable value. *)
-  let value i = Bdd.var man vars.(i mod 8) in
+     recognisable value (an edge, as the kernel stores). *)
+  let value i = Bdd.tag (Bdd.var man vars.(i mod 8)) + (16 * i) in
   for i = 0 to 199 do
     C.store tbl 0 i (i * 7) (i * 13) (value i)
   done;
   let survivors = ref 0 in
   for i = 0 to 199 do
     let r = C.find tbl 0 i (i * 7) (i * 13) in
-    if r != C.absent then begin
+    if r <> C.miss then begin
       incr survivors;
-      Alcotest.(check bool)
+      Alcotest.(check int)
         (Printf.sprintf "key %d answers with its own value" i)
-        true
-        (Bdd.equal r (value i))
+        (value i) r
     end
   done;
   Alcotest.(check bool) "some entries survive" true (!survivors > 0);
@@ -461,27 +460,23 @@ let test_computed_table_integrity () =
      operand triple is a miss. *)
   C.store tbl 0 1000 1001 1002 (value 0);
   Alcotest.(check bool) "same operands, other op misses" true
-    (C.find tbl 1 1000 1001 1002 == C.absent)
+    (C.find tbl 1 1000 1001 1002 = C.miss)
 
 let test_computed_table_generations () =
   let man, vars = Testutil.fresh_man 4 in
   let module C = Bdd.Computed_table in
   let tbl = C.create ~budget:256 in
-  let v = Bdd.var man vars.(0) in
+  let v = Bdd.tag (Bdd.var man vars.(0)) in
   C.store tbl 2 10 20 30 v;
-  Alcotest.(check bool) "stored entry found" true
-    (Bdd.equal (C.find tbl 2 10 20 30) v);
+  Alcotest.(check int) "stored entry found" v (C.find tbl 2 10 20 30);
   C.trim tbl;
-  Alcotest.(check bool) "trim invalidates" true
-    (C.find tbl 2 10 20 30 == C.absent);
+  Alcotest.(check int) "trim invalidates" C.miss (C.find tbl 2 10 20 30);
   (* Re-storing in the new generation works, and a dead-generation slot
      is recycled without an eviction having to be counted as data loss. *)
   C.store tbl 2 10 20 30 v;
-  Alcotest.(check bool) "restore after trim" true
-    (Bdd.equal (C.find tbl 2 10 20 30) v);
+  Alcotest.(check int) "restore after trim" v (C.find tbl 2 10 20 30);
   C.clear tbl;
-  Alcotest.(check bool) "clear invalidates" true
-    (C.find tbl 2 10 20 30 == C.absent);
+  Alcotest.(check int) "clear invalidates" C.miss (C.find tbl 2 10 20 30);
   Alcotest.(check int) "clear empties occupancy" 0
     (List.assoc "occupied" (C.stats tbl));
   Alcotest.(check bool) "trims counted" true
@@ -495,7 +490,7 @@ let test_computed_table_resize () =
      repeatedly) rather than thrash. *)
   let tbl = C.create ~budget:100_000 in
   Alcotest.(check int) "starts small" 8192 (C.slots tbl);
-  let v = Bdd.var man vars.(0) in
+  let v = Bdd.tag (Bdd.var man vars.(0)) in
   for i = 0 to 9_999 do
     C.store tbl 0 i (i lxor 0x5A5A) (i * 3) v
   done;
@@ -508,8 +503,7 @@ let test_computed_table_resize () =
     (C.slots tbl <= 100_000);
   (* Current-generation survivors must still answer correctly. *)
   let r = C.find tbl 0 9_999 (9_999 lxor 0x5A5A) (9_999 * 3) in
-  Alcotest.(check bool) "last store survives the resizes" true
-    (r != C.absent && Bdd.equal r v)
+  Alcotest.(check int) "last store survives the resizes" v r
 
 (* A manager on a tiny computed table evicts constantly; canonicity
    must make recomputed results physically identical, so semantics
@@ -553,8 +547,9 @@ let test_peak_seeded_on_short_runs () =
     true
     (Bdd.peak_live_nodes man >= 4)
 
-(* The unique table's O(1) counter vs. reality: exact right after a
-   sweep, and never an undercount in between. *)
+(* The O(1) live counter vs. reality: it counts every node interned
+   since the last [Bdd.gc] (nothing is freed in between), and right
+   after one it is exactly the nodes the held handles reach. *)
 let test_unique_table_counters () =
   let man, vars = Testutil.fresh_man 6 in
   let v i = Bdd.var man vars.(i) in
@@ -565,12 +560,15 @@ let test_unique_table_counters () =
          (Bdd.band man (v (k mod 6)) (Bdd.of_bool man (k land 1 = 0))))
   done;
   let counted = Bdd.live_nodes man in
+  Alcotest.(check int) "nothing freed before gc" (Bdd.created_nodes man)
+    counted;
   Bdd.gc man;
   let exact = Bdd.live_nodes man in
   Alcotest.(check bool)
-    (Printf.sprintf "pre-sweep count is an upper bound (%d >= %d)" counted
-       exact)
+    (Printf.sprintf "pre-gc count is an upper bound (%d >= %d)" counted exact)
     true (counted >= exact);
+  Alcotest.(check int) "exact after gc: the nodes [keep] reaches"
+    (Bdd.size keep - 1) exact;
   Alcotest.(check int) "stats agree with live_nodes" exact
     (List.assoc "live" (Bdd.unique_table_stats man));
   Alcotest.(check bool) "sweeps counted" true
@@ -913,6 +911,118 @@ let prop_implies (a, b) =
   in
   Bdd.implies man f g = expect
 
+(* --- rooting: the handle registry is the only root set ------------- *)
+
+(* A random program over a small register file of held handles: build a
+   [Fuzz.Expr] into a register, combine two registers, drop one, or run
+   [Bdd.gc].  Every handle the program is handed is logged with the
+   truth table of its node's regular function and the gc generation it
+   was made in. *)
+type rooting_instr =
+  | Build of int * Testutil.expr
+  | Combine of int * int * int * int (* op, dst, a, b *)
+  | Drop of int
+  | Collect
+
+let rooting_regs = 6
+
+let gen_rooting_program =
+  let open QCheck2.Gen in
+  let reg = int_bound (rooting_regs - 1) in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (4, map2 (fun r e -> Build (r, e)) reg (Testutil.gen_expr ~nvars));
+         ( 4,
+           map3
+             (fun op d (a, b) -> Combine (op, d, a, b))
+             (int_bound 3) reg (pair reg reg) );
+         (2, map (fun r -> Drop r) reg);
+         (1, return Collect);
+       ])
+
+let print_rooting_program prog =
+  String.concat "; "
+    (List.map
+       (function
+         | Build (r, e) -> Printf.sprintf "r%d := %s" r (print_expr e)
+         | Combine (op, d, a, b) ->
+           Printf.sprintf "r%d := op%d r%d r%d" d op a b
+         | Drop r -> Printf.sprintf "drop r%d" r
+         | Collect -> "gc")
+       prog)
+
+let prop_rooting prog =
+  let man, vars = Testutil.fresh_man nvars in
+  let envs = Testutil.all_envs nvars in
+  let truth f =
+    List.map (fun env -> Bdd.eval man (Testutil.env_by_level vars env) f) envs
+  in
+  (* held register: handle, its truth table, its tag when made *)
+  let regs = Array.make rooting_regs None in
+  (* node index -> (regular truth table, gc generation) of every handle
+     ever made, to check that an index names another function only
+     after a collection *)
+  let made = Hashtbl.create 64 in
+  let ok = ref true in
+  let fail fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
+  let hold r f =
+    let tt = truth f in
+    let tag = Bdd.tag f in
+    let regular = if tag land 1 = 1 then List.map not tt else tt in
+    let gen = Bdd.gc_events man in
+    List.iter
+      (fun (tt', gen') ->
+        if tt' <> regular && gen' = gen then
+          fail "node %d reused for another function without a gc" (tag lsr 1))
+      (Hashtbl.find_all made (tag lsr 1));
+    Hashtbl.add made (tag lsr 1) (regular, gen);
+    regs.(r) <- Some (f, tt, tag)
+  in
+  let get r =
+    match regs.(r) with Some (f, _, _) -> f | None -> Bdd.fls man
+  in
+  List.iter
+    (function
+      | Build (r, e) -> hold r (Testutil.build_bdd man vars e)
+      | Combine (op, d, a, b) ->
+        let f = get a and g = get b in
+        hold d
+          (match op with
+          | 0 -> Bdd.band man f g
+          | 1 -> Bdd.bor man f g
+          | 2 -> Bdd.bxor man f g
+          | _ -> Bdd.exists man (Bdd.varset man [ vars.(0); vars.(2) ]) f)
+      | Drop r -> regs.(r) <- None
+      | Collect ->
+        let gen = Bdd.gc_events man in
+        Bdd.gc man;
+        if Bdd.gc_events man <> gen + 1 then fail "gc_events did not move";
+        let held = List.filter_map Fun.id (Array.to_list regs) in
+        Array.iter
+          (function
+            | Some (f, tt, tag) ->
+              if truth f <> tt then fail "a held handle changed function";
+              if Bdd.tag f <> tag then fail "a held handle changed tag"
+            | None -> ())
+          regs;
+        let reachable =
+          match held with
+          | [] -> 0
+          | _ -> Bdd.size_list (List.map (fun (f, _, _) -> f) held) - 1
+        in
+        if Bdd.live_nodes man <> reachable then
+          fail "live_nodes %d after gc, %d reachable from held handles"
+            (Bdd.live_nodes man) reachable)
+    (prog @ [ Collect ]);
+  !ok
+
+let test_rooting =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20 |])
+    (QCheck2.Test.make ~count:100 ~name:"gc keeps exactly the held handles"
+       ~print:print_rooting_program gen_rooting_program prop_rooting)
+
 let () =
   Alcotest.run "bdd"
     [
@@ -950,8 +1060,8 @@ let () =
           Alcotest.test_case "cube counting" `Quick test_cubes_unit;
           Alcotest.test_case "reorder finds interleaving" `Quick
             test_reorder_interleaves;
-          Alcotest.test_case "weak unique table survives GC" `Quick
-            test_weak_table_gc;
+          Alcotest.test_case "gc frees garbage and keeps held roots" `Quick
+            test_gc_keeps_roots;
           Alcotest.test_case "sifting recovers grouped order" `Quick
             test_sift_recovers_grouped_order;
           Alcotest.test_case "apply validates against the source manager"
@@ -991,5 +1101,6 @@ let () =
           qtest ~count:150 "serialization semantics" prop_serialize;
           qtest2 ~count:150 "serialization structural round trip"
             prop_serialize_structural;
+          test_rooting;
         ] );
     ]

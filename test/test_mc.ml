@@ -584,6 +584,61 @@ let test_validate_rejects_bogus () =
   Alcotest.(check bool) "empty trace rejected" false
     (Mc.Trace.validate model.Mc.Model.trans ~init:model.Mc.Model.init ~good [])
 
+(* Node counts are a function of the sequence of BDD operations alone:
+   the same solve under very different OCaml GC settings (minor heap
+   size, space overhead) must create, hold and step through exactly the
+   same nodes.  A kernel that frees nodes when the OCaml GC collects
+   them fails this. *)
+let test_node_counts_ignore_gc_settings () =
+  let solve meth model_of =
+    let model = model_of () in
+    let man = Mc.Model.man model in
+    let r = Mc.Runner.run ~limits meth model in
+    ( Mc.Report.status_string r,
+      r.nodes_created,
+      r.peak_live_nodes,
+      Bdd.steps man )
+  in
+  let under settings f =
+    let saved = Gc.get () in
+    Fun.protect
+      ~finally:(fun () -> Gc.set saved)
+      (fun () ->
+        Gc.set (settings saved);
+        f ())
+  in
+  List.iter
+    (fun (label, meth, model_of) ->
+      let small =
+        under
+          (fun g -> { g with Gc.minor_heap_size = 4096; space_overhead = 20 })
+          (fun () -> solve meth model_of)
+      in
+      let large =
+        under
+          (fun g ->
+            { g with Gc.minor_heap_size = 1 lsl 20; space_overhead = 400 })
+          (fun () -> solve meth model_of)
+      in
+      let status, created, peak, steps = small in
+      let status', created', peak', steps' = large in
+      Alcotest.(check string) (label ^ ": verdict") status status';
+      Alcotest.(check int) (label ^ ": created_nodes") created created';
+      Alcotest.(check int) (label ^ ": peak_live_nodes") peak peak';
+      Alcotest.(check int) (label ^ ": steps") steps steps')
+    [
+      ( "network-4 Bkwd",
+        Mc.Runner.Backward,
+        fun () ->
+          Models.Network.make { Models.Network.procs = 4; bug = false } );
+      ( "filter-4 XICI",
+        Mc.Runner.Xici,
+        fun () ->
+          Models.Avg_filter.make
+            { Models.Avg_filter.depth = 4; sample_width = 8; assisted = true;
+              bug = false } );
+    ]
+
 let () =
   Alcotest.run "mc"
     [
@@ -595,6 +650,8 @@ let () =
           Alcotest.test_case "iteration counts" `Quick
             test_counter_iterations;
           Alcotest.test_case "node budget" `Quick test_limits_node_budget;
+          Alcotest.test_case "node counts ignore GC settings" `Quick
+            test_node_counts_ignore_gc_settings;
           Alcotest.test_case "report formatting" `Quick test_report_strings;
           Alcotest.test_case "trace validation rejects bogus" `Quick
             test_validate_rejects_bogus;

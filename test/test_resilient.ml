@@ -523,23 +523,35 @@ let verdict (r : Mc.Report.t) =
    [Bdd.Node_budget_exhausted] -- which no method catches -- comes back
    as an Exceeded report that records the attempt's own cost. *)
 let test_job_attempt_table () =
-  let strategies model =
+  (* Each strategy is attempted on [model] (a batch's properties are
+     BDDs of that model's manager); the direct call runs on a fresh
+     copy. *)
+  let strategies ?start model =
     [
       ( "method",
         Mc.Job.Method Mc.Runner.Xici,
-        fun () -> Mc.Runner.run ~limits Mc.Runner.Xici model );
+        fun () ->
+          Mc.Runner.run ~limits Mc.Runner.Xici (chain_model ?start ()) );
       ( "portfolio",
         Mc.Job.Portfolio { domains = 2 },
         fun () ->
-          match (Mc.Parallel.portfolio ~domains:2 ~limits model).winner with
+          match
+            (Mc.Parallel.portfolio ~domains:2 ~limits (chain_model ?start ()))
+              .winner
+          with
           | Some (_, r) -> r
           | None -> Alcotest.fail "direct portfolio decided nothing" );
       ( "batch",
         Mc.Job.Batch
-          { meth = Mc.Runner.Xici; props = Mc.Batch.of_goods model; domains = 1 },
+          {
+            meth = Mc.Runner.Xici;
+            props = Mc.Batch.of_goods model;
+            domains = 1;
+          },
         fun () ->
+          let fresh = chain_model ?start () in
           match
-            (Mc.Batch.run ~limits model (Mc.Batch.of_goods model)).items
+            (Mc.Batch.run ~limits fresh (Mc.Batch.of_goods fresh)).items
           with
           | [ it ] -> it.Mc.Batch.report
           | _ -> Alcotest.fail "the chain has one property" );
@@ -547,10 +559,12 @@ let test_job_attempt_table () =
   in
   List.iter
     (fun (start, expected) ->
-      List.iter
-        (fun (name, strategy, direct) ->
+      List.iteri
+        (fun i (name, _, _) ->
+          let model = chain_model ~start () in
+          let _, strategy, direct = List.nth (strategies ~start model) i in
           let label what = Printf.sprintf "%s, start %d: %s" name start what in
-          let r = Mc.Job.attempt ~limits strategy (chain_model ~start ()) in
+          let r = Mc.Job.attempt ~limits strategy model in
           Alcotest.(check string) (label "verdict") expected
             (verdict r.Mc.Job.report);
           Alcotest.(check string) (label "same as the direct call")
@@ -560,14 +574,15 @@ let test_job_attempt_table () =
             | Mc.Job.Method _ -> r.batch = None && r.portfolio = None
             | Mc.Job.Portfolio _ -> r.portfolio <> None
             | Mc.Job.Batch _ -> r.batch <> None))
-        (strategies (chain_model ~start ())))
+        (strategies ~start (chain_model ~start ())))
     [ (0, "proved"); (1, "violated") ];
-  List.iter
-    (fun (name, strategy, _) ->
+  List.iteri
+    (fun i (name, strategy, _) ->
       match strategy with
       | Mc.Job.Portfolio _ -> ()
       | Mc.Job.Method _ | Mc.Job.Batch _ ->
         let model = chain_model () in
+        let _, strategy, _ = List.nth (strategies model) i in
         let man = Mc.Model.man model in
         let armed_at = Bdd.created_nodes man + 1 in
         Bdd.set_fault_hook man
