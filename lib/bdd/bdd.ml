@@ -140,6 +140,7 @@ let unique_table_stats = Man.unique_table_stats
 let gc_events = Man.gc_events
 let clear_caches = Man.clear_caches
 let gc = Man.gc
+let check_invariants = Man.check_invariants
 let set_progress_hook = Man.set_progress_hook
 let progress_hook = Man.progress_hook
 let set_fault_hook = Man.set_fault_hook
@@ -190,8 +191,20 @@ module Computed_table = struct
 
   let create = Computed.create
   let miss = Computed.miss
-  let find = Computed.find
-  let store = Computed.store
+  (* The kernel's own third operands are edges or 0; a test's may be
+     anything, so it is checked here against the 32-bit field. *)
+  let check_c c =
+    if c < 0 || c > Computed.c_mask then
+      invalid_arg "Bdd.Computed_table: third operand outside [0, 2^32)"
+
+  let find t op a b c =
+    check_c c;
+    Computed.find t op a b c
+
+  let store t op a b c r =
+    check_c c;
+    Computed.store t op a b c r
+
   let trim = Computed.trim
   let clear = Computed.clear
   let slots = Computed.slots

@@ -16,7 +16,7 @@
     thread-safe; use one manager per thread.
 
     Nodes are not OCaml values: a manager keeps them as int triples in
-    flat arrays, and the OCaml GC never sees them.  A {!t} is a small
+    segmented int arrays that the OCaml GC never scans.  A {!t} is a small
     immutable handle on one of them.  The manager roots every handle it
     returns, weakly, so the handles the program can still reach decide
     what {!gc} keeps; nothing is ever freed inside an operation. *)
@@ -232,15 +232,26 @@ val gc : man -> unit
     major collection plus time linear in the nodes held; call it
     between operations (never from a progress or fault hook). *)
 
+val check_invariants : man -> unit
+(** Check the node store and unique table: every THEN edge is regular,
+    no node has equal children, levels grow downward, no triple is
+    interned twice, every unique-table slot carries its node's hash
+    bits, every interned node sits in exactly one slot, the free list
+    holds exactly the free nodes, and {!live_nodes} counts the interned
+    nodes.  Raises [Failure] naming the first violation.  Linear in the
+    nodes and slots; for tests. *)
+
 val computed_table_stats : man -> (string * int) list
-(** Shared computed-table counters: [slots] (current capacity),
-    [occupied], [evictions] (stores that displaced a different entry),
-    [resizes], [trims]. *)
+(** Shared computed-table counters: [slots] (current capacity; 4 words
+    each), [occupied], [evictions] (stores that displaced a different
+    entry), [resizes] (doublings), [trims] (generation bumps from
+    {!clear_caches} and budget trims). *)
 
 val unique_table_stats : man -> (string * int) list
-(** Unique-table counters: [slots] (current capacity), [live] (as
-    {!live_nodes}), [resizes] (doublings under growth) and [sweeps]
-    ({!gc} passes). *)
+(** Unique-table counters: [slots] (current capacity; one word each),
+    [live] (as {!live_nodes}), [resizes] (doublings under growth; the
+    node store grows separately, by segments, and is not counted) and
+    [sweeps] ({!gc} passes). *)
 
 val set_progress_hook : man -> (man -> unit) option -> unit
 (** Callback invoked every 64K node creations, even in the middle of a
@@ -355,7 +366,9 @@ end
     generation invalidation on tiny standalone tables.  Verification
     code should never need this: every operator memoises through the
     manager's own table automatically.  Keys and results are ints (the
-    kernel stores edges, i.e. {!tag}s); results must be [>= 0]. *)
+    kernel stores edges, i.e. {!tag}s); the third operand shares a word
+    with the op and generation, so it must be at least 0 and below
+    2^32 ([Invalid_argument] otherwise), and results must be [>= 0]. *)
 module Computed_table : sig
   type table
 
@@ -374,7 +387,8 @@ module Computed_table : sig
   (** Direct-mapped store; evicts whatever occupied the slot. *)
 
   val trim : table -> unit
-  (** O(1) invalidation (generation bump). *)
+  (** O(1) invalidation (generation bump).  The generation has 25 bits;
+      the bump past the last one empties the table instead. *)
 
   val clear : table -> unit
   (** Invalidate and empty every slot. *)

@@ -1,13 +1,14 @@
 (* The computed table: one lossy, open-addressed, direct-mapped cache
    shared by every memoised operator (CUDD-style).
 
-   Layout: one flat [int array], five words per slot: the op-tag word,
-   the three operand ints and the result edge, so a hit reads one
-   contiguous run of memory.  A lookup hashes the four key ints to a
-   single slot and compares four words; a store overwrites whatever
-   lives there (eviction-on-collision).  The array holds only ints, so
-   neither path allocates or runs a write barrier, and a miss is the
-   result [-1].
+   Layout: one flat [int array] the GC never scans ([Repr.ints]), four
+   words per slot: the tag word, which packs the generation, the third
+   operand and the op, then the first two operands and the result edge,
+   so a hit reads one contiguous run of memory.  A lookup hashes the
+   four key ints to a single slot and compares three words; a store
+   overwrites whatever lives there (eviction-on-collision).  The array
+   holds only ints, so neither path allocates or runs a write barrier,
+   and a miss is the result [-1].
    Correctness never depends on residency: a missed entry is merely
    recomputed, and canonical hash-consing makes the recomputed result
    the same edge.
@@ -15,10 +16,12 @@
    Sizing is power-of-two with occupancy-driven doubling (when more
    than half the slots are filled) up to a cap derived from the
    manager's [cache_budget].  Invalidation ("trim") is a generation
-   bump: the current generation is packed into the op-tag word, so all
-   resident entries silently stop matching in O(1).  [clear] also
-   empties every slot; [Bdd.gc] uses it, because a collection may free
-   the nodes that cached keys and results name. *)
+   bump: the current generation is packed into the tag word, so all
+   resident entries silently stop matching in O(1).  The generation has
+   25 bits; the bump past the last one empties the table and starts
+   again at 0.  [clear] also empties every slot; [Bdd.gc] uses it,
+   because a collection may free the nodes that cached keys and results
+   name. *)
 
 (* Operator tags, packed into the low bits of the tag word.  Must stay
    below [ops_width]. *)
@@ -32,10 +35,19 @@ let op_cofactor = 6
 let op_rename = 7
 let op_vcompose = 8
 
+(* The tag word: [generation lsl gen_shift lor c lsl ops_bits lor op].
+   The third operand [c] must lie in [0, 2^32): the kernel passes an
+   edge (nodes stay below 2^31) or 0.  The word stays non-negative, so
+   it never equals the empty slot's [-1]. *)
 let ops_bits = 5 (* up to 32 distinct operator tags *)
+let ops_mask = (1 lsl ops_bits) - 1
+let c_bits = 32
+let c_mask = (1 lsl c_bits) - 1
+let gen_shift = ops_bits + c_bits
+let max_generation = (1 lsl (62 - gen_shift)) - 1
 
 type t = {
-  mutable data : int array; (* stride 5: [tagword; a; b; c; result] *)
+  mutable data : int array; (* stride 4: [tagword; a; b; result] *)
   mutable mask : int; (* slots - 1; slots is a power of two *)
   mutable occupied : int; (* slots holding any entry (any generation) *)
   mutable generation : int;
@@ -46,7 +58,7 @@ type t = {
   mutable trims : int;
 }
 
-let stride = 5
+let stride = 4
 
 (* The lookup-miss result; every edge is >= 0. *)
 let miss = -1
@@ -59,7 +71,7 @@ let create ~budget =
   let max_slots = floor_pow2 (max budget 64) in
   let slots = min 8192 max_slots in
   {
-    data = Array.make (slots * stride) (-1);
+    data = Repr.ints (slots * stride) (-1);
     mask = slots - 1;
     occupied = 0;
     generation = 0;
@@ -80,18 +92,18 @@ let[@inline] index t op a b c =
   let h = (h lxor (c * 0xc2b2ae35)) lxor op in
   (h lxor (h lsr 17)) land t.mask
 
-let[@inline] tagword t op = (t.generation lsl ops_bits) lor op
+let[@inline] tagword t op c =
+  (t.generation lsl gen_shift) lor (c lsl ops_bits) lor op
 
 (* [index] is masked, so every slot read below is in bounds. *)
 let[@inline] find t op a b c =
   let k = stride * index t op a b c in
   let d = t.data in
   if
-    Array.unsafe_get d k = tagword t op
+    Array.unsafe_get d k = tagword t op c
     && Array.unsafe_get d (k + 1) = a
     && Array.unsafe_get d (k + 2) = b
-    && Array.unsafe_get d (k + 3) = c
-  then Array.unsafe_get d (k + 4)
+  then Array.unsafe_get d (k + 3)
   else miss
 
 (* Grow to [slots * 2], re-inserting only current-generation entries
@@ -100,56 +112,75 @@ let resize t =
   let old = t.data in
   let old_slots = t.mask + 1 in
   let slots = old_slots * 2 in
-  let d = Array.make (slots * stride) (-1) in
+  let d = Repr.ints (slots * stride) (-1) in
   t.data <- d;
   t.mask <- slots - 1;
   t.occupied <- 0;
   t.resizes <- t.resizes + 1;
-  let gen_floor = t.generation lsl ops_bits in
+  let gen_floor = t.generation lsl gen_shift in
   for i = 0 to old_slots - 1 do
     let k = i * stride in
-    let w = old.(k) in
+    let w = Array.unsafe_get old k in
     if w >= gen_floor then begin
       (* current generation: reinsert (still direct-mapped, so a
          same-slot pair after rehash keeps only the later one) *)
-      let a = old.(k + 1) and b = old.(k + 2) and c = old.(k + 3) in
-      let jk = stride * index t (w - gen_floor) a b c in
-      if d.(jk) = -1 then t.occupied <- t.occupied + 1;
-      Array.blit old k d jk stride
+      let a = Array.unsafe_get old (k + 1)
+      and b = Array.unsafe_get old (k + 2)
+      and c = (w lsr ops_bits) land c_mask in
+      let jk = stride * index t (w land ops_mask) a b c in
+      if Array.unsafe_get d jk = -1 then t.occupied <- t.occupied + 1;
+      Array.unsafe_set d jk w;
+      Array.unsafe_set d (jk + 1) a;
+      Array.unsafe_set d (jk + 2) b;
+      Array.unsafe_set d (jk + 3) (Array.unsafe_get old (k + 3))
     end
-  done
+  done;
+  Repr.release (Array.length old)
 
 let store t op a b c r =
   if t.occupied * 2 > t.mask + 1 && t.mask + 1 < t.max_slots then resize t;
   let k = stride * index t op a b c in
   let d = t.data in
-  let w = tagword t op in
+  let w = tagword t op c in
   let old = Array.unsafe_get d k in
   if old = -1 then t.occupied <- t.occupied + 1
   else if
     not
       (old = w
       && Array.unsafe_get d (k + 1) = a
-      && Array.unsafe_get d (k + 2) = b
-      && Array.unsafe_get d (k + 3) = c)
+      && Array.unsafe_get d (k + 2) = b)
   then t.evictions <- t.evictions + 1;
   Array.unsafe_set d k w;
   Array.unsafe_set d (k + 1) a;
   Array.unsafe_set d (k + 2) b;
-  Array.unsafe_set d (k + 3) c;
-  Array.unsafe_set d (k + 4) r
+  Array.unsafe_set d (k + 3) r
+
+let empty t =
+  t.occupied <- 0;
+  let d = t.data in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (-1)
+  done
+
+(* The next generation; past the last one the tag word has no room, so
+   the table is emptied and generation 0 starts again. *)
+let bump t =
+  if t.generation = max_generation then begin
+    empty t;
+    t.generation <- 0
+  end
+  else t.generation <- t.generation + 1
 
 (* O(1) invalidation: every resident entry's tag word now belongs to a
    dead generation and can never match again. *)
 let trim t =
-  t.generation <- t.generation + 1;
+  bump t;
   t.trims <- t.trims + 1
 
 (* Deep clear: invalidate and empty every slot. *)
 let clear t =
-  t.generation <- t.generation + 1;
-  t.occupied <- 0;
-  Array.fill t.data 0 (Array.length t.data) (-1)
+  bump t;
+  empty t
 
 let stats t =
   [

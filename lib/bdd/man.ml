@@ -161,6 +161,7 @@ let gc man =
       done)
 
 let gc_events man = man.gc_events
+let check_invariants man = Unique.check man.store
 
 (* Hot-path cache accounting; callers touch these on every memo-cache
    lookup, so they are bare stores. *)

@@ -7,12 +7,12 @@
    (not complemented).  Negation is therefore a constant-time bit flip,
    which the verification algorithms built on top rely on.
 
-   No node is an OCaml heap object.  A node is an index into one flat
-   [int array] of (level, low, high) triples, and an edge is the int
-   [node lsl 1 lor neg].  Node 0 is the terminal, so the edge 0 is TRUE
-   and the edge 1 is FALSE.  The kernel computes on edges alone: an
-   operation step allocates nothing, stores no pointer and needs no
-   write barrier.
+   No node is an OCaml heap object.  A node is an index into the node
+   store, a directory of [int array] segments of (level, low, high)
+   triples, and an edge is the int [node lsl 1 lor neg].  Node 0 is the
+   terminal, so the edge 0 is TRUE and the edge 1 is FALSE.  The kernel
+   computes on edges alone: an operation step allocates nothing, stores
+   no pointer and needs no write barrier.
 
    The public [Bdd.t] is a handle [{edge; store}] built only at the
    facade.  Every handle that names an internal node is recorded in the
@@ -23,22 +23,26 @@
 type t = { edge : int; store : store }
 
 and store = {
-  mutable nodes : int array;
-      (* 3 words per node: level, low edge, high edge.  The terminal's
-         level is [terminal_level]; a free node's level is [free_level]
-         and its low word links the free list. *)
+  mutable segs : int array array;
+      (* the node store: node [n] is the 3 words (level, low edge, high
+         edge) at [3 * (n land seg_mask)] of segment [n lsr seg_bits].
+         The terminal's level is [terminal_level]; a free node's level
+         is [free_level] and its low word links the free list. *)
+  mutable stamp_segs : int array array;
+      (* one word per node, segmented like [segs]: a walk marks a node
+         visited by writing the current [stamp], so walks never clear
+         anything *)
+  mutable capacity : int; (* nodes the segments hold *)
   mutable next : int; (* first node index never handed out *)
   mutable free : int; (* head of the free list; 0 = empty *)
   mutable live : int; (* interned internal nodes *)
   mutable buckets : int array;
       (* the unique table: open addressing, linear probing; a slot
-         holds [node lsl 16 lor hash bits], 0 = empty (see [Unique]) *)
+         holds [node lsl 32 lor] the low 32 bits of the node's hash,
+         0 = empty (see [Unique]) *)
   mutable mask : int; (* Array.length buckets - 1 *)
   mutable resizes : int;
   mutable sweeps : int;
-  mutable stamps : int array;
-      (* one word per node: a walk marks a node visited by writing the
-         current [stamp], so walks never clear anything *)
   mutable stamp : int;
   mutable handles : t Weak.t; (* the registry of rooted handles *)
   mutable handle_count : int; (* registry slots in use *)
@@ -46,6 +50,33 @@ and store = {
 
 let terminal_level = max_int
 let free_level = -1
+
+(* A segment holds 2^16 nodes: 1.5 MB of triples and 0.5 MB of stamps.
+   Segment 0 starts smaller and doubles until it is full, so a small
+   manager stays small; after that the store grows by whole segments,
+   and growing never moves a node. *)
+let seg_bits = 16
+let seg_nodes = 1 lsl seg_bits
+let seg_mask = seg_nodes - 1
+
+(* A fresh [int array] of [n] words, each [v], in a block the major GC
+   never scans: every kernel table is one, so marking never walks
+   millions of ints.  The block is uninitialised until the loop fills
+   it, and nothing but this loop may write it first: [Array.fill] and
+   [Array.blit] would read the garbage as pointers. *)
+let ints n v : int array =
+  let a : int array = Obj.obj (Obj.new_block Obj.abstract_tag n) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i v
+  done;
+  a
+
+(* Call after a table of [words] words was replaced by a bigger one.  A
+   big old table would stay resident until the GC next completes a
+   cycle, often after the next doubling too, so it is released at once.
+   The kernel's arrays are not scanned, so a full major costs only the
+   rest of the heap, about a millisecond. *)
+let release words = if words >= 1 lsl 20 then Gc.full_major ()
 
 let tru = 0
 let fls = 1
@@ -57,26 +88,40 @@ let[@inline] neg e = e lxor 1
 let[@inline] node e = e lsr 1
 let of_bool b = if b then tru else fls
 
-(* Node fields.  Every edge the kernel handles names an interned node of
-   this store (the facade rejects handles of another store), so the
-   reads need no bounds check. *)
-let[@inline] level st e = Array.unsafe_get st.nodes (3 * (e lsr 1))
+(* The segment holding node [n], and the offset of its triple there.
+   Every node the kernel handles is interned in this store (the facade
+   rejects handles of another store), so the reads need no bounds
+   check. *)
+let[@inline] seg st n = Array.unsafe_get st.segs (n lsr seg_bits)
+let[@inline] base n = 3 * (n land seg_mask)
 
-let[@inline] low st e =
-  Array.unsafe_get st.nodes ((3 * (e lsr 1)) + 1) lxor (e land 1)
+(* Node fields, by node index. *)
+let[@inline] node_level st n = Array.unsafe_get (seg st n) (base n)
+let[@inline] node_low st n = Array.unsafe_get (seg st n) (base n + 1)
+let[@inline] node_high st n = Array.unsafe_get (seg st n) (base n + 2)
 
-let[@inline] high st e =
-  Array.unsafe_get st.nodes ((3 * (e lsr 1)) + 2) lxor (e land 1)
+(* Node fields, by edge. *)
+let[@inline] level st e = node_level st (e lsr 1)
+let[@inline] low st e = node_low st (e lsr 1) lxor (e land 1)
+let[@inline] high st e = node_high st (e lsr 1) lxor (e land 1)
 
 (* Cofactors of [e] with respect to the variable at level [v]: [e]
    itself when its root lies below [v]. *)
 let[@inline] cof0 st e v = if level st e = v then low st e else e
 let[@inline] cof1 st e v = if level st e = v then high st e else e
 
-(* Start a walk: afterwards [stamps.(n) = stamp] means "visited". *)
+(* Start a walk: afterwards [stamp_of st n = stamp] means "visited". *)
 let new_stamp st =
   st.stamp <- st.stamp + 1;
   st.stamp
+
+let[@inline] stamp_of st n =
+  Array.unsafe_get (Array.unsafe_get st.stamp_segs (n lsr seg_bits)) (n land seg_mask)
+
+let[@inline] set_stamp st n s =
+  Array.unsafe_set
+    (Array.unsafe_get st.stamp_segs (n lsr seg_bits))
+    (n land seg_mask) s
 
 (* --- handles ----------------------------------------------------------- *)
 

@@ -13,15 +13,14 @@ open Repr
    (matching the convention of the paper's node counts). *)
 let size_list st fs =
   let s = new_stamp st in
-  let stamps = st.stamps and nodes = st.nodes in
   let count = ref 0 in
   let rec visit n =
-    if stamps.(n) <> s then begin
-      stamps.(n) <- s;
+    if stamp_of st n <> s then begin
+      set_stamp st n s;
       incr count;
       if n <> 0 then begin
-        visit (nodes.((3 * n) + 1) lsr 1);
-        visit (nodes.((3 * n) + 2) lsr 1)
+        visit (node_low st n lsr 1);
+        visit (node_high st n lsr 1)
       end
     end
   in
@@ -30,15 +29,14 @@ let size_list st fs =
 
 let support_list st fs =
   let s = new_stamp st in
-  let stamps = st.stamps and nodes = st.nodes in
   let levels = Hashtbl.create 16 in
   let rec visit n =
-    if stamps.(n) <> s then begin
-      stamps.(n) <- s;
+    if stamp_of st n <> s then begin
+      set_stamp st n s;
       if n <> 0 then begin
-        Hashtbl.replace levels nodes.(3 * n) ();
-        visit (nodes.((3 * n) + 1) lsr 1);
-        visit (nodes.((3 * n) + 2) lsr 1)
+        Hashtbl.replace levels (node_level st n) ();
+        visit (node_low st n lsr 1);
+        visit (node_high st n lsr 1)
       end
     end
   in

@@ -1,17 +1,22 @@
 (* The node store and its unique table.
 
-   Nodes live in one flat [int array] of (level, low, high) triples that
-   doubles when full.  The unique table is an open-addressed [int array]
-   with linear probing; a slot holds a node index and 16 bits of its
-   hash (0 = empty), and a probe compares the three words of a candidate
-   node only when those bits match.  The table holds no pointer.
+   Nodes live in a directory of segments of (level, low, high) triples
+   ([Repr.seg_bits]): segment 0 doubles until it holds 2^16 nodes, then
+   the store grows by a whole segment at a time, so growing never copies
+   a node.  The unique table is an open-addressed [int array] with
+   linear probing; a slot holds a node index and the low 32 bits of
+   the node's hash (0 = empty).  A probe compares the three words of a
+   candidate node only when those bits match, and since the bits
+   include every bit a slot index uses, a resize or a rebuild places
+   each entry from its own word without reading the node store.  The
+   table holds no pointer.
 
    Nothing leaves the table inside an operation.  [collect] (driven by
    [Bdd.gc]) is the only place nodes are freed: it marks every node
    reachable from the given roots, threads the rest onto a free list
-   that later insertions reuse, and rebuilds the table from the
-   survivors.  Between collections [live] counts every node interned
-   since the last one; right after a collection it is exact. *)
+   that later insertions reuse, and keeps only the survivors' entries.
+   Between collections [live] counts every node interned since the last
+   one; right after a collection it is exact. *)
 
 open Repr
 
@@ -19,19 +24,20 @@ let initial_buckets = 1 lsl 14
 let initial_nodes = 1 lsl 12
 
 let create () =
-  let nodes = Array.make (3 * initial_nodes) 0 in
+  let seg0 = ints (3 * initial_nodes) 0 in
   (* the terminal: node 0, below every variable *)
-  nodes.(0) <- terminal_level;
+  seg0.(0) <- terminal_level;
   {
-    nodes;
+    segs = [| seg0 |];
+    stamp_segs = [| ints initial_nodes 0 |];
+    capacity = initial_nodes;
     next = 1;
     free = 0;
     live = 0;
-    buckets = Array.make initial_buckets 0;
+    buckets = ints initial_buckets 0;
     mask = initial_buckets - 1;
     resizes = 0;
     sweeps = 0;
-    stamps = Array.make initial_nodes 0;
     stamp = 0;
     handles = Weak.create 1024;
     handle_count = 0;
@@ -42,67 +48,83 @@ let[@inline] hash lvl lo hi =
   let h = (h * 0x85ebca6b) lxor hi in
   h lxor (h lsr 16)
 
-(* A bucket holds [node lsl 16 lor tag], where [tag] is 16 bits of the
-   node's hash that the slot index does not use: a probe dereferences a
-   candidate node only when its tag matches. *)
-let[@inline] tag_of h = (h lsr 40) land 0xFFFF
+(* A bucket holds [node lsl 32 lor hash_bits h]: a probe dereferences a
+   candidate node only when those bits match.  A table never has more
+   than 2^32 slots, so a slot index is [bucket land mask]. *)
+let hash_mask = 0xFFFF_FFFF
+let[@inline] hash_bits h = h land hash_mask
+let[@inline] entry n h = (n lsl 32) lor hash_bits h
 
-(* Place node [n] (known absent) in [buckets]. *)
-let reinsert st n =
-  let nodes = st.nodes in
-  let b = 3 * n in
-  let mask = st.mask in
-  let h = hash nodes.(b) nodes.(b + 1) nodes.(b + 2) in
-  let i = ref (h land mask) in
-  while st.buckets.(!i) <> 0 do
-    i := (!i + 1) land mask
+(* Replace the table by one of [cap] slots holding the old table's
+   entries, or only those whose node carries the stamp [only] when it
+   is positive.  One sequential pass over the old slots; no node is
+   read. *)
+let rehash st cap ~only =
+  let old = st.buckets in
+  let buckets = ints cap 0 in
+  let mask = cap - 1 in
+  for j = 0 to Array.length old - 1 do
+    let w = Array.unsafe_get old j in
+    if w <> 0 && (only <= 0 || stamp_of st (w lsr 32) = only) then begin
+      let i = ref (w land mask) in
+      while Array.unsafe_get buckets !i <> 0 do
+        i := (!i + 1) land mask
+      done;
+      Array.unsafe_set buckets !i w
+    end
   done;
-  st.buckets.(!i) <- (n lsl 16) lor tag_of h
+  st.buckets <- buckets;
+  st.mask <- mask;
+  release (Array.length old)
 
-(* A fresh table of [cap] slots holding every interned node. *)
-let rebuild st cap =
-  st.buckets <- Array.make cap 0;
-  st.mask <- cap - 1;
-  let nodes = st.nodes in
-  for n = 1 to st.next - 1 do
-    if nodes.(3 * n) <> free_level then reinsert st n
-  done
+(* Does node [n] hold the triple (lvl, lo, hi)? *)
+let[@inline] is st n lvl lo hi =
+  let s = seg st n and b = base n in
+  Array.unsafe_get s b = lvl
+  && Array.unsafe_get s (b + 1) = lo
+  && Array.unsafe_get s (b + 2) = hi
 
 (* The node (level, lo, hi), or [lnot slot] for the empty slot where it
    belongs.  [hi] is a regular edge. *)
 let find st lvl lo hi =
-  let nodes = st.nodes and buckets = st.buckets and mask = st.mask in
+  let buckets = st.buckets and mask = st.mask in
   (* a loop, not a local recursive function: that would allocate a
      closure on every call *)
-  let h = hash lvl lo hi in
-  let tag = tag_of h in
+  let h = hash_bits (hash lvl lo hi) in
   let i = ref (h land mask) in
   let result = ref 0 in
   while !result = 0 do
     let w = Array.unsafe_get buckets !i in
     if w = 0 then result := lnot !i
-    else begin
-      let n = w lsr 16 in
-      let b = 3 * n in
-      if
-        w land 0xFFFF = tag
-        && Array.unsafe_get nodes b = lvl
-        && Array.unsafe_get nodes (b + 1) = lo
-        && Array.unsafe_get nodes (b + 2) = hi
-      then result := n
-      else i := (!i + 1) land mask
-    end
+    else if w land hash_mask = h && is st (w lsr 32) lvl lo hi then
+      result := w lsr 32
+    else i := (!i + 1) land mask
   done;
   !result
 
+(* Room for more nodes: double segment 0 while it is not full, else add
+   a segment.  Either way the stamps grow alike.  Nodes must stay below
+   2^31 for a bucket word (and a computed-table key) to hold them. *)
 let grow_nodes st =
-  let cap = Array.length st.stamps in
-  let nodes = Array.make (6 * cap) 0 in
-  Array.blit st.nodes 0 nodes 0 (3 * cap);
-  st.nodes <- nodes;
-  let stamps = Array.make (2 * cap) 0 in
-  Array.blit st.stamps 0 stamps 0 cap;
-  st.stamps <- stamps
+  let cap = st.capacity in
+  if cap < seg_nodes then begin
+    let copy old words =
+      let grown = ints (2 * words) 0 in
+      for i = 0 to words - 1 do
+        Array.unsafe_set grown i (Array.unsafe_get old i)
+      done;
+      grown
+    in
+    st.segs.(0) <- copy st.segs.(0) (3 * cap);
+    st.stamp_segs.(0) <- copy st.stamp_segs.(0) cap;
+    st.capacity <- 2 * cap
+  end
+  else begin
+    if cap >= 1 lsl 31 then failwith "Bdd: node store full";
+    st.segs <- Array.append st.segs [| ints (3 * seg_nodes) 0 |];
+    st.stamp_segs <- Array.append st.stamp_segs [| ints seg_nodes 0 |];
+    st.capacity <- cap + seg_nodes
+  end
 
 (* Intern (level, lo, hi) at [slot], the empty slot [find] returned, and
    return the new node.  Reuses a freed node before a never-used one. *)
@@ -110,41 +132,39 @@ let add st slot lvl lo hi =
   let n =
     if st.free <> 0 then begin
       let n = st.free in
-      st.free <- st.nodes.((3 * n) + 1);
+      st.free <- node_low st n;
       n
     end
     else begin
-      if st.next = Array.length st.stamps then grow_nodes st;
+      if st.next = st.capacity then grow_nodes st;
       let n = st.next in
       st.next <- n + 1;
       n
     end
   in
-  let nodes = st.nodes in
-  let b = 3 * n in
-  nodes.(b) <- lvl;
-  nodes.(b + 1) <- lo;
-  nodes.(b + 2) <- hi;
-  st.buckets.(slot) <- (n lsl 16) lor tag_of (hash lvl lo hi);
+  let s = seg st n and b = base n in
+  s.(b) <- lvl;
+  s.(b + 1) <- lo;
+  s.(b + 2) <- hi;
+  st.buckets.(slot) <- entry n (hash lvl lo hi);
   st.live <- st.live + 1;
   (* keep the load at most 1/2, so a miss stops within a few probes *)
   if 2 * st.live > st.mask + 1 then begin
     st.resizes <- st.resizes + 1;
-    rebuild st (2 * (st.mask + 1))
+    rehash st (2 * (st.mask + 1)) ~only:0
   end;
   n
 
 (* Free every node not reachable from the root edges [iter_roots]
-   enumerates, then rebuild the table at a size fitting the survivors. *)
+   enumerates, then keep the survivors in a table sized to fit them. *)
 let collect st iter_roots =
   let s = new_stamp st in
-  let nodes = st.nodes and stamps = st.stamps in
   let rec mark n =
-    if stamps.(n) <> s then begin
-      stamps.(n) <- s;
+    if stamp_of st n <> s then begin
+      set_stamp st n s;
       if n <> 0 then begin
-        mark (nodes.((3 * n) + 1) lsr 1);
-        mark (nodes.((3 * n) + 2) lsr 1)
+        mark (node_low st n lsr 1);
+        mark (node_high st n lsr 1)
       end
     end
   in
@@ -154,11 +174,11 @@ let collect st iter_roots =
   st.free <- 0;
   st.live <- 0;
   for n = st.next - 1 downto 1 do
-    let b = 3 * n in
-    if nodes.(b) = free_level || stamps.(n) <> s then begin
-      nodes.(b) <- free_level;
-      nodes.(b + 1) <- st.free;
-      nodes.(b + 2) <- 0;
+    let sg = seg st n and b = base n in
+    if sg.(b) = free_level || stamp_of st n <> s then begin
+      sg.(b) <- free_level;
+      sg.(b + 1) <- st.free;
+      sg.(b + 2) <- 0;
       st.free <- n
     end
     else st.live <- st.live + 1
@@ -168,7 +188,64 @@ let collect st iter_roots =
   while !cap < 2 * st.live do
     cap := 2 * !cap
   done;
-  rebuild st !cap
+  rehash st !cap ~only:s
+
+(* Check the store against its invariants; [Failure] names the first
+   one broken.  Linear in the nodes and slots; for tests. *)
+let check st =
+  let fail fmt = Printf.ksprintf failwith ("Bdd.check_invariants: " ^^ fmt) in
+  let interned n = n > 0 && n < st.next && node_level st n <> free_level in
+  (* each slot names an interned node, carries its hash bits, and no
+     node is in two slots *)
+  let s = new_stamp st in
+  let used = ref 0 in
+  for j = 0 to st.mask do
+    let w = st.buckets.(j) in
+    if w <> 0 then begin
+      incr used;
+      let n = w lsr 32 in
+      if not (interned n) then fail "slot %d names node %d, not interned" j n;
+      let h = hash (node_level st n) (node_low st n) (node_high st n) in
+      if w land hash_mask <> hash_bits h then
+        fail "slot %d: hash bits do not match node %d" j n;
+      if stamp_of st n = s then fail "node %d is in two slots" n;
+      set_stamp st n s
+    end
+  done;
+  if 2 * !used > st.mask + 1 then fail "table more than half full";
+  let nonfree = ref 0 in
+  for n = 1 to st.next - 1 do
+    let lvl = node_level st n in
+    if lvl <> free_level then begin
+      incr nonfree;
+      let lo = node_low st n and hi = node_high st n in
+      if hi land 1 <> 0 then fail "node %d: THEN edge complemented" n;
+      if lo = hi then fail "node %d: low = high" n;
+      let below e =
+        let m = node e in
+        if m <> 0 && not (interned m) then fail "node %d: child %d freed" n m;
+        if level st e <= lvl then fail "node %d: a child's level is not below" n
+      in
+      below lo;
+      below hi;
+      if stamp_of st n <> s then fail "node %d is in no slot" n;
+      (* [find] stops at the first match, so a second node with the
+         same triple would be answered by its twin *)
+      if find st lvl lo hi <> n then fail "node %d: its triple is not found as it" n
+    end
+  done;
+  if !nonfree <> st.live then
+    fail "live is %d, but %d nodes are interned" st.live !nonfree;
+  if !used <> st.live then fail "%d slots used for %d live nodes" !used st.live;
+  let rec free_list n k =
+    if n = 0 then k
+    else if n >= st.next || node_level st n <> free_level then
+      fail "free list reaches node %d, which is not free" n
+    else free_list (node_low st n) (k + 1)
+  in
+  let free = free_list st.free 0 in
+  if free <> st.next - 1 - st.live then
+    fail "free list holds %d of %d free nodes" free (st.next - 1 - st.live)
 
 let stats st =
   [

@@ -74,11 +74,25 @@ exception Out_of_fuel
    an [Out_of_fuel] escape is sound to reuse on the retry: the rerun
    skips every subtree it already settled instead of redoing all the
    expansions.  Entries are also valid across var_choice/simplify
-   settings (the verdict is semantic) and across gc (node ids are never
-   reused), but only within the one manager whose tags keyed them. *)
-type memo_table = (int list, bool) Hashtbl.t
+   settings (the verdict is semantic), but only within the one manager
+   whose tags keyed them, and only until its next [Bdd.gc]: a gc frees
+   nodes whose indices later come back for other functions.  So the
+   entries are dropped whenever the manager's gc generation moves, as
+   [Policy]'s pair table is. *)
+type memo_table = {
+  verdicts : (int list, bool) Hashtbl.t;
+  mutable gc_generation : int;
+}
 
-let create_memo () : memo_table = Hashtbl.create 64
+let create_memo () = { verdicts = Hashtbl.create 64; gc_generation = -1 }
+
+let validate_memo man memo =
+  let gen = Bdd.gc_events man in
+  if memo.gc_generation <> gen then begin
+    Hashtbl.reset memo.verdicts;
+    memo.gc_generation <- gen
+  end;
+  memo.verdicts
 
 let choose_var choice ds =
   match choice, ds with
@@ -177,8 +191,9 @@ let check ?(var_choice = First_top) ?(simplify = true) ?(memo = true) ?fuel
   (* [memo_table] lets the caller hold the table across calls -- in
      particular across an [Out_of_fuel] escape, which used to discard
      every accumulated verdict right when they were most needed. *)
-  let table : memo_table =
-    match memo_table with Some t -> t | None -> create_memo ()
+  let table =
+    validate_memo man
+      (match memo_table with Some t -> t | None -> create_memo ())
   in
   let burn () =
     stats.expansions <- stats.expansions + 1;

@@ -42,7 +42,10 @@ type memo_table
     already settled instead of redoing every expansion.  Only completed
     subproblems are ever stored, so reuse across fuel budgets (and
     across [var_choice]/[simplify] settings: verdicts are semantic) is
-    sound.  Valid for a single manager only. *)
+    sound.  Valid for a single manager only.  A {!Bdd.gc} may give a
+    freed node's tag to a different function, so {!check} drops the
+    entries whenever the manager's {!Bdd.gc_events} has moved since the
+    table was last used. *)
 
 val create_memo : unit -> memo_table
 (** A fresh, empty memo table. *)

@@ -505,6 +505,52 @@ let test_computed_table_resize () =
   let r = C.find tbl 0 9_999 (9_999 lxor 0x5A5A) (9_999 * 3) in
   Alcotest.(check int) "last store survives the resizes" v r
 
+(* The third operand shares the tag word with the op and the
+   generation, so operands near the top of its 32 bits must neither
+   alias one another nor leak into the generation, and the generation
+   counter must not wrap onto live entries. *)
+let test_computed_table_wide_operand () =
+  let module C = Bdd.Computed_table in
+  let tbl = C.create ~budget:256 in
+  let wide = [ (1 lsl 31) - 1; 1 lsl 31; (1 lsl 32) - 1 ] in
+  List.iteri (fun i c -> C.store tbl 3 7 9 c (100 + i)) wide;
+  List.iteri
+    (fun i c ->
+      let r = C.find tbl 3 7 9 c in
+      if r <> C.miss then
+        Alcotest.(check int) (Printf.sprintf "operand %#x answers its own" c)
+          (100 + i) r)
+    wide;
+  let c = (1 lsl 31) + 5 in
+  C.store tbl 3 1 2 c 42;
+  Alcotest.(check int) "wide operand found" 42 (C.find tbl 3 1 2 c);
+  Alcotest.(check int) "one bit lower misses" C.miss
+    (C.find tbl 3 1 2 (c lxor (1 lsl 31)));
+  Alcotest.(check int) "another op misses" C.miss (C.find tbl 4 1 2 c);
+  C.trim tbl;
+  Alcotest.(check int) "generation bump invalidates" C.miss
+    (C.find tbl 3 1 2 c);
+  C.store tbl 3 1 2 c 43;
+  Alcotest.(check int) "stored again in the new generation" 43
+    (C.find tbl 3 1 2 c);
+  Alcotest.check_raises "operand of 2^32 rejected"
+    (Invalid_argument "Bdd.Computed_table: third operand outside [0, 2^32)")
+    (fun () -> ignore (C.find tbl 3 1 2 (1 lsl 32)));
+  Alcotest.check_raises "negative operand rejected"
+    (Invalid_argument "Bdd.Computed_table: third operand outside [0, 2^32)")
+    (fun () -> C.store tbl 3 1 2 (-1) 0);
+  (* 2^25 bumps bring a 25-bit generation back to where the entry was
+     stored: the table must have been emptied on the way. *)
+  C.store tbl 3 5 6 c 44;
+  for _ = 1 to 1 lsl 25 do
+    C.trim tbl
+  done;
+  Alcotest.(check int) "no stale hit after the generation wraps" C.miss
+    (C.find tbl 3 5 6 c);
+  Alcotest.(check int) "wrapping emptied the table" 0 (C.occupied tbl);
+  C.store tbl 3 5 6 c 45;
+  Alcotest.(check int) "entries work after the wrap" 45 (C.find tbl 3 5 6 c)
+
 (* A manager on a tiny computed table evicts constantly; canonicity
    must make recomputed results physically identical, so semantics
    never change. *)
@@ -998,6 +1044,7 @@ let prop_rooting prog =
         let gen = Bdd.gc_events man in
         Bdd.gc man;
         if Bdd.gc_events man <> gen + 1 then fail "gc_events did not move";
+        (try Bdd.check_invariants man with Failure m -> fail "%s" m);
         let held = List.filter_map Fun.id (Array.to_list regs) in
         Array.iter
           (function
@@ -1022,6 +1069,164 @@ let test_rooting =
     ~rand:(Random.State.make [| 20 |])
     (QCheck2.Test.make ~count:100 ~name:"gc keeps exactly the held handles"
        ~print:print_rooting_program gen_rooting_program prop_rooting)
+
+(* --- growth: segments, table doublings and gc together ---------------- *)
+
+(* Random programs that push one manager across at least three
+   node-store segments (2^16 nodes each) and through several unique-
+   and computed-table doublings, with [Bdd.gc] interleaved.  [Spread]
+   XORs copies of a random [Fuzz.Expr] placed at every offset of a
+   20-variable set, each copy's variables scattered by a stride, which
+   builds thousands to tens of thousands of nodes.  Every program also
+   holds one [Pressure] step at a random place: the same with a fixed
+   kernel and three strides, about 400000 nodes, so the crossing does
+   not hang on what the random expressions happen to be.  Every
+   register carries its function's values on a fixed sample of
+   assignments, computed from the expressions alone; after every step
+   the held handles must still have those values and the store must
+   pass [Bdd.check_invariants]. *)
+type growth_instr =
+  | Spread of int * int * Testutil.expr (* dst, stride, window *)
+  | Pressure of int
+  | Mix of int * int * int * int (* op, dst, a, b *)
+  | Release of int
+  | Sweep
+
+let growth_vars = 20
+let growth_regs = 6
+let growth_target = 3 * 65536
+
+(* strides coprime with [growth_vars], so the copies of a window are
+   rotations of one another *)
+let growth_strides = [ 3; 7; 9; 11; 13; 17 ]
+
+let growth_samples =
+  let rand = Random.State.make [| 25 |] in
+  Array.init 48 (fun i ->
+      Array.init growth_vars (fun _ ->
+          if i = 0 then false else if i = 1 then true else Random.State.bool rand))
+
+let gen_growth_program =
+  let open QCheck2.Gen in
+  let reg = int_bound (growth_regs - 1) in
+  let* prog =
+    list_size (int_range 4 12)
+      (frequency
+         [
+           ( 5,
+             map3
+               (fun r s e -> Spread (r, s, e))
+               reg (oneofl growth_strides) (Testutil.gen_expr ~nvars:6) );
+           ( 3,
+             map3
+               (fun op d (a, b) -> Mix (op, d, a, b))
+               (int_bound 3) reg (pair reg reg) );
+           (1, map (fun r -> Release r) reg);
+           (2, return Sweep);
+         ])
+  in
+  let* at = int_bound (List.length prog) in
+  let* r = reg in
+  return (List.filteri (fun i _ -> i < at) prog
+          @ (Pressure r :: List.filteri (fun i _ -> i >= at) prog))
+
+let print_growth_program prog =
+  String.concat "; "
+    (List.map
+       (function
+         | Spread (r, s, e) ->
+           Printf.sprintf "r%d := spread/%d %s" r s (print_expr e)
+         | Pressure r -> Printf.sprintf "r%d := pressure" r
+         | Mix (op, d, a, b) -> Printf.sprintf "r%d := op%d r%d r%d" d op a b
+         | Release r -> Printf.sprintf "drop r%d" r
+         | Sweep -> "gc")
+       prog)
+
+(* The copies of [window] at every offset, with stride [s]. *)
+let spread_copies s window =
+  List.init growth_vars (fun o ->
+      Testutil.map_vars (fun i -> ((i * s) + o) mod growth_vars) window)
+
+let prop_growth prog =
+  let man = Bdd.create ~cache_budget:(1 lsl 16) () in
+  let vars = Array.init growth_vars (fun _ -> Bdd.new_var man) in
+  let regs = Array.make growth_regs None in
+  let ok = ref true in
+  let fail fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
+  let get r =
+    match regs.(r) with
+    | Some held -> held
+    | None -> (Bdd.fls man, Array.make (Array.length growth_samples) false)
+  in
+  (* the XOR of [copies], as a handle and as sample values *)
+  let xor_of copies =
+    ( List.fold_left
+        (fun acc c -> Bdd.bxor man acc (Testutil.build_bdd man vars c))
+        (Bdd.fls man) copies,
+      Array.map
+        (fun env ->
+          List.fold_left (fun acc c -> acc <> Testutil.eval_expr env c) false
+            copies)
+        growth_samples )
+  in
+  let step = function
+    | Spread (r, s, e) -> regs.(r) <- Some (xor_of (spread_copies s e))
+    | Pressure r ->
+      let kernel = Testutil.(Or (And (V 0, V 1), And (V 2, V 5))) in
+      regs.(r) <-
+        Some (xor_of (List.concat_map (fun s -> spread_copies s kernel) [ 7; 3; 9 ]))
+    | Mix (op, d, a, b) ->
+      let (f, fv), (g, gv) = (get a, get b) in
+      let v = (a + (2 * b) + (3 * d)) mod growth_vars in
+      let h, pick =
+        match op with
+        | 0 -> (Bdd.band man f g, fun _ x y -> x && y)
+        | 1 -> (Bdd.bor man f g, fun _ x y -> x || y)
+        | 2 -> (Bdd.bxor man f g, fun _ x y -> x <> y)
+        | _ ->
+          ( Bdd.ite man (Bdd.var man vars.(v)) f g,
+            fun env x y -> if env.(v) then x else y )
+      in
+      regs.(d) <-
+        Some (h, Array.mapi (fun k env -> pick env fv.(k) gv.(k)) growth_samples)
+    | Release r -> regs.(r) <- None
+    | Sweep -> Bdd.gc man
+  in
+  let check () =
+    Array.iter
+      (function
+        | Some (f, values) ->
+          Array.iteri
+            (fun k env ->
+              if Bdd.eval man (Testutil.env_by_level vars env) f <> values.(k)
+              then fail "a held handle changed its value on sample %d" k)
+            growth_samples
+        | None -> ())
+      regs;
+    try Bdd.check_invariants man with Failure m -> fail "%s" m
+  in
+  List.iter
+    (fun i ->
+      if !ok then begin
+        step i;
+        check ()
+      end)
+    (prog @ [ Sweep ]);
+  let stat tbl name = List.assoc name tbl in
+  if Bdd.peak_live_nodes man <= growth_target then
+    fail "the program peaked at %d nodes, not past %d" (Bdd.peak_live_nodes man)
+      growth_target;
+  if stat (Bdd.unique_table_stats man) "resizes" < 3 then
+    fail "fewer than 3 unique-table doublings";
+  if stat (Bdd.computed_table_stats man) "resizes" < 2 then
+    fail "fewer than 2 computed-table doublings";
+  !ok
+
+let test_growth =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 25 |])
+    (QCheck2.Test.make ~count:4 ~name:"growth across segments and doublings"
+       ~print:print_growth_program gen_growth_program prop_growth)
 
 let () =
   Alcotest.run "bdd"
@@ -1072,6 +1277,8 @@ let () =
             `Quick test_computed_table_generations;
           Alcotest.test_case "computed table resize" `Quick
             test_computed_table_resize;
+          Alcotest.test_case "computed table wide operand and wrap" `Quick
+            test_computed_table_wide_operand;
           Alcotest.test_case "tiny cache preserves semantics" `Quick
             test_tiny_cache_semantics;
           Alcotest.test_case "peak seeded on short runs" `Quick
@@ -1102,5 +1309,6 @@ let () =
           qtest2 ~count:150 "serialization structural round trip"
             prop_serialize_structural;
           test_rooting;
+          test_growth;
         ] );
     ]

@@ -372,6 +372,31 @@ let test_memo_survives_fuel_retry () =
   Alcotest.(check bool) "memo hits grew across the retry" true
     (stats.Ici.Tautology.memo_hits > 0)
 
+(* The memo is keyed by tags, and a gc may hand a freed node's index to
+   a different function.  Here x0 | x1 and ~x0 | ~x1 (a tautology) are
+   checked, dropped and collected; rebuilding the same shapes with AND
+   reuses the freed indices in the same order, so x0 & x1 and
+   ~x0 & ~x1 (not a tautology) carry the very same tags.  A memo that
+   outlived the gc would answer the second check from the first. *)
+let test_memo_dropped_across_gc () =
+  let man, vars = Testutil.fresh_man 2 in
+  let memo = Ici.Tautology.create_memo () in
+  let x i = Bdd.var man vars.(i) and nx i = Bdd.nvar man vars.(i) in
+  let first () =
+    let a = Bdd.bor man (x 0) (x 1) and b = Bdd.bor man (nx 0) (nx 1) in
+    Alcotest.(check bool) "x0|x1 | ~x0|~x1 is a tautology" true
+      (Ici.Tautology.check ~memo_table:memo man [ a; b ]);
+    (Bdd.tag a, Bdd.tag b)
+  in
+  let tags = (Sys.opaque_identity first) () in
+  Bdd.gc man;
+  Alcotest.(check int) "nothing is held" 0 (Bdd.live_nodes man);
+  let a = Bdd.band man (x 0) (x 1) and b = Bdd.band man (nx 0) (nx 1) in
+  Alcotest.(check (pair int int)) "the new functions reuse the tags" tags
+    (Bdd.tag a, Bdd.tag b);
+  Alcotest.(check bool) "x0&x1 | ~x0&~x1 is not a tautology" false
+    (Ici.Tautology.check ~memo_table:memo man [ a; b ])
+
 let qtest2 ?(count = 150) name prop =
   let gen = QCheck2.Gen.pair gen_list gen_list in
   let print (a, b) = print_list a ^ " // " ^ print_list b in
@@ -429,6 +454,8 @@ let () =
             test_stats_simplifications;
           Alcotest.test_case "memo survives fuel retries" `Quick
             test_memo_survives_fuel_retry;
+          Alcotest.test_case "memo dropped across gc" `Quick
+            test_memo_dropped_across_gc;
           qtest "exact vs built disjunction (all strategies)"
             prop_tautology_exact;
           qtest2 "implication exact" prop_implies_exact;
