@@ -244,9 +244,15 @@ let first_some checks =
 
 let check_spec ?(limits = default_limits) ?cache_budget spec =
   let expected = Spec.reference_verdict spec in
+  (* Each method's manager must also end with a sound store. *)
   let run_method name ?(allow_exceeded = false) f =
     let model = Spec.build_model ?cache_budget spec in
-    check_report ~expected ~allow_exceeded name model (f model)
+    match check_report ~expected ~allow_exceeded name model (f model) with
+    | Some _ as d -> d
+    | None -> (
+      match Bdd.check_invariants (Mc.Model.man model) with
+      | () -> None
+      | exception Failure why -> Some { check = name; detail = why })
   in
   first_some
     ([

@@ -36,8 +36,9 @@ val check_spec :
   ?cache_budget:int ->
   Spec.t ->
   disagreement option
-(** [None] when every method agrees with the reference; otherwise the
-    first disagreement found.  [cache_budget] shrinks each method
+(** [None] when every method agrees with the reference and leaves its
+    manager passing {!Bdd.check_invariants}; otherwise the first
+    disagreement found.  [cache_budget] shrinks each method
     manager's computed table (the tinycache target passes 256 to hammer
     eviction paths); the induction / derived-invariant / resilience
     side checks always run on default-sized managers. *)
