@@ -86,161 +86,125 @@ let table_header () =
   Format.printf "  %-10s %s   [paper: time iter bdd-nodes]@." "" Mc.Report.header
 
 (* ------------------------------------------------------------------ *)
-(* Table 1: performance vs. previous methods                           *)
+(* Tables 1-3: the paper's rows as data                                 *)
 (* ------------------------------------------------------------------ *)
 
-let table1_fifo budgets =
-  head "-- Table 1a: 8-bit wide typed FIFO buffer --";
-  table_header ();
-  let cases =
-    [
-      (5, Mc.Runner.Forward, "0:03 6 543");
-      (5, Mc.Runner.Backward, "0:01 1 543");
-      (5, Mc.Runner.Ici, "0:00 1 41=(5x9)");
-      (5, Mc.Runner.Xici, "0:00 1 41=(5x9)");
-      (10, Mc.Runner.Forward, "5:37 11 32767");
-      (10, Mc.Runner.Backward, "1:56 1 32767");
-      (10, Mc.Runner.Ici, "0:03 1 81=(10x9)");
-      (10, Mc.Runner.Xici, "0:03 1 81=(10x9)");
-    ]
-  in
-  List.iter
-    (fun (depth, meth, paper) ->
-      let model =
-        Models.Typed_fifo.make { Models.Typed_fifo.default with depth }
-      in
-      ignore
-        (run_row ~label:(Printf.sprintf "depth=%d" depth) budgets meth model
-           ~paper))
-    cases
+let fifo_model depth () =
+  Models.Typed_fifo.make { Models.Typed_fifo.default with depth }
 
-let table1_network budgets =
-  head "-- Table 1b: processors sending messages through network --";
-  table_header ();
-  let cases =
-    [
-      (4, Mc.Runner.Forward, "0:04 9 1198");
-      (4, Mc.Runner.Backward, "0:02 1 994");
-      (4, Mc.Runner.Fd, "0:13 9 41");
-      (4, Mc.Runner.Ici, "0:02 1 245=(4x62)");
-      (4, Mc.Runner.Xici, "0:02 1 245=(4x62)");
-      (7, Mc.Runner.Forward, "11:53 15 88647");
-      (7, Mc.Runner.Backward, "2:15 1 61861");
-      (7, Mc.Runner.Fd, "3:20 15 169");
-      (7, Mc.Runner.Ici, "0:14 1 1086=(7x156)");
-      (7, Mc.Runner.Xici, "0:22 1 1086=(7x156)");
-    ]
-  in
-  List.iter
-    (fun (procs, meth, paper) ->
-      let model = Models.Network.make { Models.Network.procs; bug = false } in
-      ignore
-        (run_row ~label:(Printf.sprintf "procs=%d" procs) budgets meth model
-           ~paper))
-    cases
+let network_model procs () =
+  Models.Network.make { Models.Network.procs; bug = false }
 
-let filter_model depth assisted =
+let filter_model ?(assisted = false) depth () =
   Models.Avg_filter.make { Models.Avg_filter.default with depth; assisted }
 
-let table1_filter budgets =
-  head "-- Table 1c: 8-bit moving average filter (assisting invariants) --";
-  table_header ();
-  let cases =
-    [
-      (4, Mc.Runner.Forward, "0:54 3 11267");
-      (4, Mc.Runner.Backward, "0:04 1 490");
-      (4, Mc.Runner.Ici, "0:03 1 146=(102,45)");
-      (4, Mc.Runner.Xici, "0:03 1 146=(102,45)");
-      (8, Mc.Runner.Forward, "exceeded 60MB");
-      (8, Mc.Runner.Backward, "exceeded 40min");
-      (8, Mc.Runner.Ici, "0:25 1 638=(390,169,81)");
-      (8, Mc.Runner.Xici, "0:28 1 638=(390,169,81)");
-      (16, Mc.Runner.Ici, "3:26 1 2558=(1501,629,290,141)");
-      (16, Mc.Runner.Xici, "3:41 1 2558=(1501,629,290,141)");
-    ]
-  in
-  List.iter
-    (fun (depth, meth, paper) ->
-      ignore
-        (run_row ~label:(Printf.sprintf "depth=%d" depth) budgets meth
-           (filter_model depth true) ~paper))
-    cases
-
-let table1 budgets =
-  head "=== Table 1: Performance vs. Previous Methods ===";
-  table1_fifo budgets;
-  table1_network budgets;
-  table1_filter budgets
-
-(* ------------------------------------------------------------------ *)
-(* Table 2: moving-average filter without assisting invariants         *)
-(* ------------------------------------------------------------------ *)
-
-let table2 budgets =
-  head "=== Table 2: Moving Average Filter without Assisting Invariants ===";
-  table_header ();
-  let cases =
-    [
-      (4, Mc.Runner.Forward, "0:52 3 11267");
-      (4, Mc.Runner.Backward, "0:04 1 490");
-      (4, Mc.Runner.Ici, "0:04 1 490");
-      (4, Mc.Runner.Xici, "0:03 2 146=(45,102)");
-      (8, Mc.Runner.Forward, "exceeded 60MB");
-      (8, Mc.Runner.Backward, "exceeded 40min");
-      (8, Mc.Runner.Ici, "exceeded 40min");
-      (8, Mc.Runner.Xici, "0:31 3 638=(61,169,390)");
-      (16, Mc.Runner.Xici, "5:45 4 2558=(141,290,629,1501)");
-    ]
-  in
-  List.iter
-    (fun (depth, meth, paper) ->
-      ignore
-        (run_row ~label:(Printf.sprintf "depth=%d" depth) budgets meth
-           (filter_model depth false) ~paper))
-    cases
-
-(* ------------------------------------------------------------------ *)
-(* Table 3: pipelined processor                                        *)
-(* ------------------------------------------------------------------ *)
-
-let cpu_model ?(assisted = false) regs width =
+let cpu_model ?(assisted = false) regs width () =
   Models.Pipeline_cpu.make
     { Models.Pipeline_cpu.regs; width; assisted; bug = false }
 
-let table3 budgets =
-  head "=== Table 3: Pipelined Processor ===";
-  table_header ();
-  let cases =
-    [
-      (2, 1, Mc.Runner.Forward, "5:11 4 284745");
-      (2, 1, Mc.Runner.Backward, "0:27 4 10745");
-      (2, 1, Mc.Runner.Ici, "0:27 4 10745");
-      (2, 1, Mc.Runner.Xici, "0:31 4 10745");
-      (2, 2, Mc.Runner.Forward, "exceeded 60MB");
-      (2, 2, Mc.Runner.Backward, "exceeded 60MB");
-      (2, 2, Mc.Runner.Ici, "exceeded 60MB");
-      (2, 2, Mc.Runner.Xici, "1:48 4 8485=(45,441,1345,6657)");
-      (2, 3, Mc.Runner.Xici, "13:35 4 57510=(189,2503,9591,45230)");
-      (4, 1, Mc.Runner.Xici, "7:06 4 12947=(45,849,1290,10767)");
-    ]
+(* One row of Tables 1-3: [section] is the heading printed when it
+   changes ("" for none), [paper] the paper's "time iter bdd-nodes". *)
+type paper_row = {
+  table : int;
+  section : string;
+  label : string;
+  model : unit -> Mc.Model.t;
+  meth : Mc.Runner.meth;
+  paper : string;
+}
+
+let table_titles =
+  [
+    (1, "=== Table 1: Performance vs. Previous Methods ===");
+    (2, "=== Table 2: Moving Average Filter without Assisting Invariants ===");
+    (3, "=== Table 3: Pipelined Processor ===");
+  ]
+
+let paper_rows =
+  let open Mc.Runner in
+  (* The methods run on one model, each with its paper string. *)
+  let rows table section label model cases =
+    List.map
+      (fun (meth, paper) -> { table; section; label; model; meth; paper })
+      cases
   in
+  let fifo = rows 1 "-- Table 1a: 8-bit wide typed FIFO buffer --" in
+  let network =
+    rows 1 "-- Table 1b: processors sending messages through network --"
+  in
+  let filter_inv =
+    rows 1 "-- Table 1c: 8-bit moving average filter (assisting invariants) --"
+  in
+  let filter depth =
+    rows 2 "" (Printf.sprintf "depth=%d" depth) (filter_model depth)
+  in
+  let cpu regs width =
+    rows 3 "" (Printf.sprintf "%dR,%dB" regs width) (cpu_model regs width)
+  in
+  List.concat
+    [
+      fifo "depth=5" (fifo_model 5)
+        [ (Forward, "0:03 6 543"); (Backward, "0:01 1 543");
+          (Ici, "0:00 1 41=(5x9)"); (Xici, "0:00 1 41=(5x9)") ];
+      fifo "depth=10" (fifo_model 10)
+        [ (Forward, "5:37 11 32767"); (Backward, "1:56 1 32767");
+          (Ici, "0:03 1 81=(10x9)"); (Xici, "0:03 1 81=(10x9)") ];
+      network "procs=4" (network_model 4)
+        [ (Forward, "0:04 9 1198"); (Backward, "0:02 1 994");
+          (Fd, "0:13 9 41"); (Ici, "0:02 1 245=(4x62)");
+          (Xici, "0:02 1 245=(4x62)") ];
+      network "procs=7" (network_model 7)
+        [ (Forward, "11:53 15 88647"); (Backward, "2:15 1 61861");
+          (Fd, "3:20 15 169"); (Ici, "0:14 1 1086=(7x156)");
+          (Xici, "0:22 1 1086=(7x156)") ];
+      filter_inv "depth=4" (filter_model ~assisted:true 4)
+        [ (Forward, "0:54 3 11267"); (Backward, "0:04 1 490");
+          (Ici, "0:03 1 146=(102,45)"); (Xici, "0:03 1 146=(102,45)") ];
+      filter_inv "depth=8" (filter_model ~assisted:true 8)
+        [ (Forward, "exceeded 60MB"); (Backward, "exceeded 40min");
+          (Ici, "0:25 1 638=(390,169,81)"); (Xici, "0:28 1 638=(390,169,81)") ];
+      filter_inv "depth=16" (filter_model ~assisted:true 16)
+        [ (Ici, "3:26 1 2558=(1501,629,290,141)");
+          (Xici, "3:41 1 2558=(1501,629,290,141)") ];
+      filter 4
+        [ (Forward, "0:52 3 11267"); (Backward, "0:04 1 490");
+          (Ici, "0:04 1 490"); (Xici, "0:03 2 146=(45,102)") ];
+      filter 8
+        [ (Forward, "exceeded 60MB"); (Backward, "exceeded 40min");
+          (Ici, "exceeded 40min"); (Xici, "0:31 3 638=(61,169,390)") ];
+      filter 16 [ (Xici, "5:45 4 2558=(141,290,629,1501)") ];
+      cpu 2 1
+        [ (Forward, "5:11 4 284745"); (Backward, "0:27 4 10745");
+          (Ici, "0:27 4 10745"); (Xici, "0:31 4 10745") ];
+      cpu 2 2
+        [ (Forward, "exceeded 60MB"); (Backward, "exceeded 60MB");
+          (Ici, "exceeded 60MB"); (Xici, "1:48 4 8485=(45,441,1345,6657)") ];
+      cpu 2 3 [ (Xici, "13:35 4 57510=(189,2503,9591,45230)") ];
+      cpu 4 1 [ (Xici, "7:06 4 12947=(45,849,1290,10767)") ];
+      rows 3
+        "-- Table 3 footnote: hand-constructed assisting invariants, 2R 3B --"
+        "2R,3B+inv"
+        (cpu_model ~assisted:true 2 3)
+        [ (Ici, "6:19 2 6602"); (Xici, "6:19 2 6602") ];
+    ]
+
+(* Run one table's rows, printing each section heading and the column
+   header where the section changes. *)
+let paper_table budgets table =
+  head "%s" (List.assoc table table_titles);
+  let section = ref None in
   List.iter
-    (fun (regs, width, meth, paper) ->
-      ignore
-        (run_row
-           ~label:(Printf.sprintf "%dR,%dB" regs width)
-           budgets meth (cpu_model regs width) ~paper))
-    cases;
-  head "-- Table 3 footnote: hand-constructed assisting invariants, 2R 3B --";
-  table_header ();
-  ignore
-    (run_row ~label:"2R,3B+inv" budgets Mc.Runner.Ici
-       (cpu_model ~assisted:true 2 3)
-       ~paper:"6:19 2 6602");
-  ignore
-    (run_row ~label:"2R,3B+inv" budgets Mc.Runner.Xici
-       (cpu_model ~assisted:true 2 3)
-       ~paper:"6:19 2 6602")
+    (fun row ->
+      if row.table = table then begin
+        if !section <> Some row.section then begin
+          section := Some row.section;
+          if row.section <> "" then head "%s" row.section;
+          table_header ()
+        end;
+        let model = row.model () in
+        ignore (run_row ~label:row.label budgets row.meth model ~paper:row.paper)
+      end)
+    paper_rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (design choices flagged in DESIGN.md / Section V)         *)
@@ -260,11 +224,8 @@ let ablation_grow budgets =
                budgets ~xici_cfg:cfg Mc.Runner.Xici (model ())
                ~paper:(Printf.sprintf "on %s" name)))
         [
-          ( "fifo-10",
-            fun () ->
-              Models.Typed_fifo.make
-                { Models.Typed_fifo.default with depth = 10 } );
-          ("filter-8", fun () -> filter_model 8 false);
+          ("fifo-10", fifo_model 10);
+          ("filter-8", filter_model 8);
         ])
     [ 1.0; 1.25; 1.5; 2.0; 4.0 ]
 
@@ -273,7 +234,7 @@ let ablation_cofactor budgets =
   List.iter
     (fun (name, var_choice) ->
       let stats = Ici.Tautology.fresh_stats () in
-      let model = filter_model 8 false in
+      let model = filter_model 8 () in
       let r =
         Mc.Xici.run ~limits:(limits_of budgets) ~var_choice
           ~tautology_stats:stats model
@@ -300,10 +261,8 @@ let ablation_cover budgets =
                (model ())
                ~paper:(Printf.sprintf "on %s" mname)))
         [
-          ( "network-4",
-            fun () ->
-              Models.Network.make { Models.Network.procs = 4; bug = false } );
-          ("filter-8", fun () -> filter_model 8 false);
+          ("network-4", network_model 4);
+          ("filter-8", filter_model 8);
         ])
     [
       ("greedy", Ici.Policy.Greedy);
@@ -324,11 +283,8 @@ let ablation_simplify budgets =
                (model ())
                ~paper:(Printf.sprintf "on %s" mname)))
         [
-          ( "fifo-10",
-            fun () ->
-              Models.Typed_fifo.make
-                { Models.Typed_fifo.default with depth = 10 } );
-          ("filter-8", fun () -> filter_model 8 false);
+          ("fifo-10", fifo_model 10);
+          ("filter-8", filter_model 8);
         ])
     [
       ("restrict", Ici.Policy.Restrict);
@@ -348,8 +304,8 @@ let ablation_termination budgets =
                (model ())
                ~paper:(Printf.sprintf "on %s" mname)))
         [
-          ("filter-8", fun () -> filter_model 8 false);
-          ("cpu-2R2B", fun () -> cpu_model 2 2);
+          ("filter-8", filter_model 8);
+          ("cpu-2R2B", cpu_model 2 2);
         ])
     [
       ("exact-eq", `Exact_equal);
@@ -369,10 +325,8 @@ let ablation_image budgets =
           in
           Format.printf "  %-10s %a   [%s]@.%!" name Mc.Report.pp_row r mname)
         [
-          ( "network-4",
-            fun () ->
-              Models.Network.make { Models.Network.procs = 4; bug = false } );
-          ("filter-8a", fun () -> filter_model 8 true);
+          ("network-4", network_model 4);
+          ("filter-8a", filter_model ~assisted:true 8);
         ])
     [ ("auto", `Auto); ("compose", `Compose); ("relational", `Relational) ]
 
@@ -386,7 +340,7 @@ let ablation_pairbound budgets =
       let cfg = { Ici.Policy.default with pair_step_factor } in
       ignore
         (run_row ~label:name budgets ~xici_cfg:cfg Mc.Runner.Xici
-           (filter_model 8 false) ~paper:"on filter-8"))
+           (filter_model 8 ()) ~paper:"on filter-8"))
     [
       ("unbounded", None);
       ("16x", Some 16);
@@ -457,12 +411,9 @@ let ablation_idi budgets =
           ignore (run_row ~label:name budgets meth (model ()) ~paper:"-"))
         [ Mc.Runner.Forward; Mc.Runner.Idi ])
     [
-      ( "fifo-10",
-        fun () ->
-          Models.Typed_fifo.make { Models.Typed_fifo.default with depth = 10 } );
-      ( "network-4",
-        fun () -> Models.Network.make { Models.Network.procs = 4; bug = false } );
-      ("filter-4", fun () -> filter_model 4 false);
+      ("fifo-10", fifo_model 10);
+      ("network-4", network_model 4);
+      ("filter-4", filter_model 4);
     ]
 
 (* Variable-order sensitivity: the FIFO's monolithic blowup (543 /
@@ -475,9 +426,7 @@ let ablation_reorder _budgets =
   head "=== Ablation: variable-order sensitivity of the FIFO conjunction ===";
   List.iter
     (fun depth ->
-      let model =
-        Models.Typed_fifo.make { Models.Typed_fifo.default with depth }
-      in
+      let model = fifo_model depth () in
       let man = Mc.Model.man model in
       let g = Bdd.conj man (Mc.Model.property model) in
       let before = Bdd.size g in
@@ -509,20 +458,12 @@ let bench_batch budgets ~quick =
   head "=== Batch: multi-property run vs n sequential runs ===";
   let cases =
     [
-      ( "network-4",
-        fun () -> Models.Network.make { Models.Network.procs = 4; bug = false }
-      );
-      ( (if quick then "fifo-5" else "fifo-10"),
-        fun () ->
-          Models.Typed_fifo.make
-            {
-              Models.Typed_fifo.default with
-              depth = (if quick then 5 else 10);
-            } );
+      ("network-4", network_model 4);
+      (if quick then ("fifo-5", fifo_model 5) else ("fifo-10", fifo_model 10));
       ( "abp-8",
         fun () -> Models.Abp.make { Models.Abp.width = 8; bug = false } );
     ]
-    @ if quick then [] else [ ("cpu-2R1B", fun () -> cpu_model 2 1) ]
+    @ if quick then [] else [ ("cpu-2R1B", cpu_model 2 1) ]
   in
   (* Only a proved <-> violated flip is a soundness alarm; an Exceeded
      on one side is a budget artifact (the batch arm's traversal order
@@ -846,12 +787,12 @@ let run tables run_ablations daemon batch max_live max_seconds quick json =
     tables = [] && (not run_ablations) && (not daemon) && not batch
   in
   let wants t = all || List.mem t tables in
-  if wants 1 then
-    with_json_artifact "BENCH_table1.json" (fun () -> table1 budgets);
-  if wants 2 then
-    with_json_artifact "BENCH_table2.json" (fun () -> table2 budgets);
-  if wants 3 then
-    with_json_artifact "BENCH_table3.json" (fun () -> table3 budgets);
+  List.iter
+    (fun (t, _) ->
+      if wants t then
+        with_json_artifact (Printf.sprintf "BENCH_table%d.json" t) (fun () ->
+            paper_table budgets t))
+    table_titles;
   if run_ablations || all then ablations budgets;
   if daemon then
     with_json_artifact "BENCH_daemon.json" (fun () ->

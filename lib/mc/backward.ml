@@ -4,50 +4,28 @@
    start states escape G_i, convergence when G_{i+1} = G_i (constant-time
    by canonicity). *)
 
-let run ?(limits = fun man -> Limits.unlimited man) ?image_via model =
+let run ?limits ?image_via model =
   let man = Model.man model in
   let trans = model.Model.trans in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"Bkwd" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
-  in
-  Limits.with_guard lim man (fun () ->
-    try
+  Fixpoint.run ?limits ~meth:"Bkwd" model (fun fx ->
       let g0 = Bdd.conj man (Model.property model) in
-      Limits.check lim man;
+      Fixpoint.check fx;
+      (* [gs] is G_i ... G_0 as one-conjunct lists, for the trace. *)
       let rec iterate g gs =
-        Limits.check_iteration lim man ~iteration:!iterations;
-        Report.observe_set peak [ g ];
-        Log.iteration ~meth:"Bkwd" ~iteration:!iterations ~conjuncts:1
-          ~nodes:(Bdd.size g) ~elapsed_s:(Limits.elapsed lim)
-          ~live_nodes:(Bdd.live_nodes man);
-        if not (Bdd.implies man model.Model.init g) then begin
-          let start =
-            Trace.pick trans (Bdd.band man model.Model.init (Bdd.bnot man g))
-          in
-          let gs_clists = List.rev_map (fun x -> [ x ]) gs in
-          finish (Report.Violated (Trace.backward trans ~gs:gs_clists ~start))
-        end
-        else begin
-          incr iterations;
+        Fixpoint.iteration fx [ g ];
+        match Fixpoint.violation fx [ g ] ~history:gs with
+        | Some violated -> violated
+        | None ->
+          Fixpoint.advance fx;
           let g' =
             Obs.Tracer.with_span (Obs.Tracer.global ()) ~cat:"mc"
-              ~args:(fun () -> [ ("iteration", Obs.Json.Int !iterations) ])
+              ~args:(fun () ->
+                [ ("iteration", Obs.Json.Int (Fixpoint.iterations fx)) ])
               "bkwd.back_image"
               (fun () ->
                 Bdd.band man g0 (Fsm.Trans.back_image ?via:image_via trans g))
           in
-          if Bdd.equal g' g then begin
-            (* Converged: the last BackImage did not shrink the set. *)
-            finish Report.Proved
-          end
-          else iterate g' (g' :: gs)
-        end
+          (* Converged when the last BackImage did not shrink the set. *)
+          if Bdd.equal g' g then Report.Proved else iterate g' ([ g' ] :: gs)
       in
-      iterate g0 [ g0 ]
-    with Limits.Exceeded why -> finish (Report.Exceeded why))
+      iterate g0 [ [ g0 ] ])

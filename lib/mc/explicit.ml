@@ -38,25 +38,15 @@ let unpack levels ~size packed =
     levels;
   env
 
-let run_full ?(limits = fun man -> Limits.unlimited man) model =
+let run_full ?limits model =
   let man = Model.man model in
   let trans = model.Model.trans in
   let space = Fsm.Trans.space trans in
   let levels = Fsm.Space.current_levels space in
   let inputs = Fsm.Space.input_levels space in
   let property = Ici.Clist.of_list man (Model.property model) in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let depth_reached = ref 0 in
   let size = max 1 (Bdd.num_vars man) in
   let seen : (packed, packed option) Hashtbl.t = Hashtbl.create 4096 in
-  let finish status =
-    ( Report.make ~model:model.Model.name ~method_name:"Expl" ~status
-        ~iterations:!depth_reached ~peak ~man ~baseline
-        ~time_s:(Limits.elapsed lim),
-      Hashtbl.length seen )
-  in
   let queue = Queue.create () in
   let n_inputs = List.length inputs in
   let trace_from packed_state =
@@ -67,8 +57,8 @@ let run_full ?(limits = fun man -> Limits.unlimited man) model =
     in
     back packed_state []
   in
-  Limits.with_guard lim man (fun () ->
-      try
+  let report =
+    Fixpoint.run ?limits ~meth:"Expl" model (fun fx ->
         Seq.iter
           (fun env ->
             let p = pack levels env in
@@ -81,9 +71,11 @@ let run_full ?(limits = fun man -> Limits.unlimited man) model =
         let checked = ref 0 in
         while !result = None && not (Queue.is_empty queue) do
           incr checked;
-          if !checked land 0xFFF = 0 then Limits.check lim man;
+          if !checked land 0xFFF = 0 then Fixpoint.check fx;
           let p, depth = Queue.pop queue in
-          if depth > !depth_reached then depth_reached := depth;
+          (* Breadth-first: depths leave the queue in order, one level
+             at a time, so the iteration count is the depth reached. *)
+          if depth > Fixpoint.iterations fx then Fixpoint.advance fx;
           let env = unpack levels ~size p in
           if not (Ici.Clist.eval man env property) then
             result := Some (Report.Violated (trace_from p))
@@ -102,12 +94,9 @@ let run_full ?(limits = fun man -> Limits.unlimited man) model =
               end
             done
         done;
-        Log.iteration ~meth:"Expl" ~iteration:!depth_reached
-          ~conjuncts:(Hashtbl.length seen) ~nodes:0
-          ~elapsed_s:(Limits.elapsed lim) ~live_nodes:(Bdd.live_nodes man);
-        match !result with
-        | Some status -> finish status
-        | None -> finish Report.Proved
-      with Limits.Exceeded why -> finish (Report.Exceeded why))
+        Fixpoint.search_row fx ~states:(Hashtbl.length seen);
+        Option.value ~default:Report.Proved !result)
+  in
+  (report, Hashtbl.length seen)
 
 let run ?limits model = fst (run_full ?limits model)

@@ -52,19 +52,10 @@ let conjoin_with_deps man parts =
     (fun acc p -> if Bdd.is_false acc then acc else Bdd.band man acc p)
     (Bdd.tru man) parts
 
-let run ?(limits = fun man -> Limits.unlimited man) model =
+let run ?limits model =
   let man = Model.man model in
   let trans = model.Model.trans in
   let property = Ici.Clist.of_list man (Model.property model) in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"FD" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
-  in
   let find_violation r dconjs =
     List.fold_left
       (fun acc c ->
@@ -78,46 +69,26 @@ let run ?(limits = fun man -> Limits.unlimited man) model =
       None
       (Ici.Clist.to_list property)
   in
-  (* rings: (reduced set, dependency conjuncts) per iteration, oldest
-     first once reversed; trace walk mirrors Trace.forward with the
-     membership test done against reduced set + dependencies. *)
+  (* rings: (reduced set, dependency conjuncts) per iteration, newest
+     first; membership and predecessors are taken against the reduced
+     set plus its dependencies. *)
   let trace_of rings bad_set =
-    let levels = Fsm.Space.current_levels (Fsm.Trans.space trans) in
-    let rings = Array.of_list (List.rev rings) in
-    let bad = Trace.pick trans bad_set in
-    let member (r, dconjs) env =
-      Bdd.eval man env r && List.for_all (Bdd.eval man env) dconjs
-    in
-    let rec first_ring i = if member rings.(i) bad then i else first_ring (i + 1) in
-    let rec walk i state acc =
-      if i = 0 then state :: acc
-      else begin
-        let cube = Trace.state_cube man levels state in
-        let r, dconjs = rings.(i - 1) in
-        let preds =
-          conjoin_with_deps man (Fsm.Trans.pre_image trans cube :: r :: dconjs)
-        in
-        let p = Trace.pick trans preds in
-        walk (i - 1) p (state :: acc)
-      end
-    in
-    walk (first_ring 0) bad []
+    Trace.forward trans
+      ~mem:(fun env (r, dconjs) ->
+        Bdd.eval man env r && List.for_all (Bdd.eval man env) dconjs)
+      ~within:(fun preds (r, dconjs) ->
+        conjoin_with_deps man (preds :: r :: dconjs))
+      ~rings:(List.rev rings) ~bad:(Trace.pick trans bad_set)
   in
-  Limits.with_guard lim man (fun () ->
-    try
+  Fixpoint.run ?limits ~meth:"FD" model (fun fx ->
       let r0, deps0 = detect man model.Model.init [] model.Model.fd_candidates in
       let rec iterate r deps rings =
-        Limits.check_iteration lim man ~iteration:!iterations;
-        Log.iteration ~meth:"FD" ~iteration:!iterations
-          ~conjuncts:(1 + List.length deps)
-          ~nodes:(Bdd.size_list (r :: List.map (fun d -> d.func) deps))
-          ~elapsed_s:(Limits.elapsed lim) ~live_nodes:(Bdd.live_nodes man);
+        Fixpoint.iteration fx (r :: List.map (fun d -> d.func) deps);
         let dconjs = List.map (dep_conjunct man) deps in
-        Report.observe_set peak (r :: List.map (fun d -> d.func) deps);
         match find_violation r dconjs with
-        | Some bad -> finish (Report.Violated (trace_of ((r, dconjs) :: rings) bad))
+        | Some bad -> Report.Violated (trace_of ((r, dconjs) :: rings) bad)
         | None ->
-          incr iterations;
+          Fixpoint.advance fx;
           let img = Fsm.Trans.image ~extra:dconjs trans r in
           (* Keep only the dependencies the new states still respect. *)
           let kept, broken =
@@ -133,11 +104,10 @@ let run ?(limits = fun man -> Limits.unlimited man) model =
           let kept_levels = Bdd.varset man (List.map (fun d -> d.lvl) kept) in
           let img_red = Bdd.exists man kept_levels img in
           let r' = Bdd.bor man r img_red in
-          if Bdd.equal r' r && broken = [] then finish Report.Proved
+          if Bdd.equal r' r && broken = [] then Report.Proved
           else begin
             let r'', deps' = detect man r' kept model.Model.fd_candidates in
             iterate r'' deps' ((r, dconjs) :: rings)
           end
       in
-      iterate r0 deps0 []
-    with Limits.Exceeded why -> finish (Report.Exceeded why))
+      iterate r0 deps0 [])

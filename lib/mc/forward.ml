@@ -4,49 +4,38 @@
    the frontier (new states only), a standard optimisation that does not
    change R_i or the iteration count. *)
 
-let run ?(limits = fun man -> Limits.unlimited man) model =
+let run ?limits model =
   let man = Model.man model in
   let trans = model.Model.trans in
   let property = Ici.Clist.of_list man (Model.property model) in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"Fwd" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
-  in
   let violation reached rings =
     match Ici.Clist.find_unimplied man reached property with
     | None -> None
     | Some c ->
       let bad = Trace.pick trans (Bdd.band man reached (Bdd.bnot man c)) in
-      Some (Trace.forward trans ~rings:(List.rev rings) ~bad)
+      Some
+        (Trace.forward trans ~mem:(Bdd.eval man) ~within:(Bdd.band man)
+           ~rings:(List.rev rings) ~bad)
   in
-  let rec iterate reached frontier rings =
-    Limits.check_iteration lim man ~iteration:!iterations;
-    Report.observe_set peak [ reached ];
-    Log.iteration ~meth:"Fwd" ~iteration:!iterations ~conjuncts:1
-      ~nodes:(Bdd.size reached) ~elapsed_s:(Limits.elapsed lim)
-      ~live_nodes:(Bdd.live_nodes man);
-    match violation frontier rings with
-    | Some tr -> finish (Report.Violated tr)
-    | None ->
-      let img =
-        Obs.Tracer.with_span (Obs.Tracer.global ()) ~cat:"mc"
-          ~args:(fun () -> [ ("iteration", Obs.Json.Int !iterations) ])
-          "fwd.image"
-          (fun () -> Fsm.Trans.image trans frontier)
+  Fixpoint.run ?limits ~meth:"Fwd" model (fun fx ->
+      let rec iterate reached frontier rings =
+        Fixpoint.iteration fx [ reached ];
+        match violation frontier rings with
+        | Some tr -> Report.Violated tr
+        | None ->
+          let img =
+            Obs.Tracer.with_span (Obs.Tracer.global ()) ~cat:"mc"
+              ~args:(fun () ->
+                [ ("iteration", Obs.Json.Int (Fixpoint.iterations fx)) ])
+              "fwd.image"
+              (fun () -> Fsm.Trans.image trans frontier)
+          in
+          let reached' = Bdd.bor man reached img in
+          if Bdd.equal reached' reached then Report.Proved
+          else begin
+            Fixpoint.advance fx;
+            let frontier' = Bdd.band man img (Bdd.bnot man reached) in
+            iterate reached' frontier' (reached' :: rings)
+          end
       in
-      let reached' = Bdd.bor man reached img in
-      if Bdd.equal reached' reached then finish Report.Proved
-      else begin
-        incr iterations;
-        let frontier' = Bdd.band man img (Bdd.bnot man reached) in
-        iterate reached' frontier' (reached' :: rings)
-      end
-  in
-  Limits.with_guard lim man (fun () ->
-    try iterate model.Model.init model.Model.init [ model.Model.init ]
-    with Limits.Exceeded why -> finish (Report.Exceeded why))
+      iterate model.Model.init model.Model.init [ model.Model.init ])

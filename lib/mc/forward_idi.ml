@@ -36,75 +36,48 @@ let find_violation man parts property =
    state picking predecessors inside ever-earlier rings. *)
 let trace_of trans rings bad_set =
   let man = Fsm.Trans.man trans in
-  let levels = Fsm.Space.current_levels (Fsm.Trans.space trans) in
-  let rings = Array.of_list (List.rev rings) in
-  let bad = Trace.pick trans bad_set in
-  let member ring env = List.exists (fun p -> Bdd.eval man env p) ring in
-  let rec first_ring i = if member rings.(i) bad then i else first_ring (i + 1) in
-  let rec walk i state acc =
-    if i = 0 then state :: acc
-    else begin
-      let cube = Trace.state_cube man levels state in
-      let preds = Fsm.Trans.pre_image trans cube in
-      let inside =
+  Trace.forward trans
+    ~mem:(fun env ring -> List.exists (Bdd.eval man env) ring)
+    ~within:(fun preds ring ->
+      match
         List.find_map
           (fun p ->
             let s = Bdd.band man preds p in
             if Bdd.is_false s then None else Some s)
-          rings.(i - 1)
-      in
-      match inside with
-      | Some s -> walk (i - 1) (Trace.pick trans s) (state :: acc)
-      | None -> invalid_arg "Forward_idi.trace_of: broken rings"
-    end
-  in
-  walk (first_ring 0) bad []
+          ring
+      with
+      | Some s -> s
+      | None -> invalid_arg "Forward_idi.trace_of: broken rings")
+    ~rings:(List.rev rings) ~bad:(Trace.pick trans bad_set)
 
-let run ?(limits = fun man -> Limits.unlimited man)
-    ?(cfg = Ici.Policy.default) ?tautology_stats model =
+let run ?limits ?(cfg = Ici.Policy.default) ?tautology_stats model =
   let man = Model.man model in
   let trans = model.Model.trans in
   let property = Ici.Clist.of_list man (Model.property model) in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
   let stats =
     match tautology_stats with
     | Some s -> s
     | None -> Ici.Tautology.fresh_stats ()
   in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"IDI" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
-  in
-  Limits.with_guard lim man (fun () ->
-      try
-        let rec iterate parts frontier rings =
-          Limits.check_iteration lim man ~iteration:!iterations;
-          Report.observe_set peak parts;
-          Log.iteration ~meth:"IDI" ~iteration:!iterations
-            ~conjuncts:(List.length parts)
-            ~nodes:(Bdd.size_list parts)
-            ~elapsed_s:(Limits.elapsed lim) ~live_nodes:(Bdd.live_nodes man);
-          match find_violation man frontier property with
-          | Some bad -> finish (Report.Violated (trace_of trans rings bad))
-          | None ->
-            let images = List.map (Fsm.Trans.image trans) frontier in
-            let fresh =
-              List.filter
-                (fun p ->
-                  (not (Bdd.is_false p)) && not (subsumed ~stats man p parts))
-                images
-            in
-            if fresh = [] then finish Report.Proved
-            else begin
-              incr iterations;
-              let parts' = dual_improve man cfg (parts @ fresh) in
-              iterate parts' fresh (parts' :: rings)
-            end
-        in
-        let start = dual_improve man cfg [ model.Model.init ] in
-        iterate start start [ start ]
-      with Limits.Exceeded why -> finish (Report.Exceeded why))
+  Fixpoint.run ?limits ~meth:"IDI" model (fun fx ->
+      let rec iterate parts frontier rings =
+        Fixpoint.iteration fx parts;
+        match find_violation man frontier property with
+        | Some bad -> Report.Violated (trace_of trans rings bad)
+        | None ->
+          let images = List.map (Fsm.Trans.image trans) frontier in
+          let fresh =
+            List.filter
+              (fun p ->
+                (not (Bdd.is_false p)) && not (subsumed ~stats man p parts))
+              images
+          in
+          if fresh = [] then Report.Proved
+          else begin
+            Fixpoint.advance fx;
+            let parts' = dual_improve man cfg (parts @ fresh) in
+            iterate parts' fresh (parts' :: rings)
+          end
+      in
+      let start = dual_improve man cfg [ model.Model.init ] in
+      iterate start start [ start ])

@@ -8,72 +8,52 @@
    fail to detect convergence (we then report iteration-limit
    exhaustion rather than looping forever). *)
 
-let run ?(limits = fun man -> Limits.unlimited man)
+let run ?limits
     ?(cfg =
       { Ici.Policy.default with evaluation = Ici.Policy.No_evaluation })
     model =
   let man = Model.man model in
   let trans = model.Model.trans in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"ICI" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
-  in
-  Limits.with_guard lim man (fun () ->
-    try
+  Fixpoint.run ?limits ~meth:"ICI" model (fun fx ->
       let l0 = Ici.Clist.of_list man (Model.property model) in
+      (* Simplify each BackImage by every property conjunct (smallest
+         care sets first) before combining.  Sound: every G_0 conjunct
+         is a factor of the new list, so it is a valid care set; a
+         BackImage that coincides with (or is implied by) a property
+         conjunct collapses to TRUE, which is what lets the
+         shape-preserving policy reach a pointwise fixpoint on examples
+         like the typed FIFO, where BackImage permutes the conjuncts,
+         and the assisted moving-average filter, where the layer lemmas
+         subsume the BackImages of the output bits.  The care sets and
+         their order are fixed for the run: sizes are taken once, and
+         the stable sort keeps equal sizes in property order. *)
+      let care_sets =
+        if cfg.Ici.Policy.simplifier = Ici.Policy.No_simplify then []
+        else
+          List.map (fun g -> (Bdd.size g, g)) l0
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          |> List.filter_map (fun (_, g) ->
+                 if Bdd.is_const g then None else Some g)
+      in
+      let simplify_back b =
+        List.fold_left
+          (fun b g -> if Bdd.is_const b then b else Bdd.restrict man b g)
+          b care_sets
+      in
       let rec iterate l gs =
-        Limits.check_iteration lim man ~iteration:!iterations;
-        Report.observe_set peak l;
-        Log.iteration ~meth:"ICI" ~iteration:!iterations
-          ~conjuncts:(Ici.Clist.length l)
-          ~nodes:(Ici.Clist.shared_size l)
-          ~elapsed_s:(Limits.elapsed lim) ~live_nodes:(Bdd.live_nodes man);
-        match Ici.Clist.find_unimplied man model.Model.init l with
-        | Some c ->
-          let start =
-            Trace.pick trans (Bdd.band man model.Model.init (Bdd.bnot man c))
-          in
-          finish
-            (Report.Violated (Trace.backward trans ~gs:(List.rev gs) ~start))
+        Fixpoint.iteration fx l;
+        match Fixpoint.violation fx l ~history:gs with
+        | Some violated -> violated
         | None ->
-          incr iterations;
+          Fixpoint.advance fx;
           let back = List.map (Fsm.Trans.back_image trans) l in
-          (* Simplify each BackImage by every property conjunct
-             (smallest care sets first) before combining.  Sound: every
-             G_0 conjunct is a factor of the new list, so it is a valid
-             care set; a BackImage that coincides with (or is implied
-             by) a property conjunct collapses to TRUE, which is what
-             lets the shape-preserving policy reach a pointwise fixpoint
-             on examples like the typed FIFO, where BackImage permutes
-             the conjuncts, and the assisted moving-average filter,
-             where the layer lemmas subsume the BackImages of the output
-             bits. *)
-          let l0_by_size =
-            List.sort (fun a b -> compare (Bdd.size a) (Bdd.size b)) l0
-          in
-          let simplify_back b =
-            List.fold_left
-              (fun b g ->
-                if
-                  Bdd.is_const b || Bdd.is_const g
-                  || cfg.Ici.Policy.simplifier = Ici.Policy.No_simplify
-                then b
-                else Bdd.restrict man b g)
-              b l0_by_size
-          in
           let back = List.map simplify_back back in
           (* Keep the list length fixed: AND conjunct j of G_0 with the
              (simplified) BackImage of conjunct j. *)
           let l' = Ici.Clist.band_pointwise man l0 back in
-          if List.for_all2 Bdd.equal l' l then finish Report.Proved
+          if List.for_all2 Bdd.equal l' l then Report.Proved
           else iterate l' (l' :: gs)
       in
       (* The original method iterates the user-supplied conjunction
          as-is; the list keeps its shape throughout. *)
-      iterate l0 [ l0 ]
-    with Limits.Exceeded why -> finish (Report.Exceeded why))
+      iterate l0 [ l0 ])

@@ -43,15 +43,10 @@ let batch_verdict (res : Batch.result) =
 let attempt ?limits ?xici_cfg ?termination ?checkpoint ?checkpoint_every
     ?resume ?should_cancel ?on_progress ?iter_sink strategy model =
   let man = Model.man model in
-  let baseline = Bdd.created_nodes man in
-  let t0 = Monotonic.now () in
   (* A budget abort that escaped the method (a fault hook firing outside
-     its own Limits handler) still reports what the attempt consumed. *)
-  let exceeded why =
-    Report.make ~model:model.Model.name ~method_name:(strategy_name strategy)
-      ~status:(Report.Exceeded why) ~iterations:0 ~peak:(Report.fresh_peak ())
-      ~man ~baseline ~time_s:(Monotonic.now () -. t0)
-  in
+     its Fixpoint frame) still reports what the attempt consumed. *)
+  let frame = Fixpoint.start ~meth:(strategy_name strategy) model in
+  let exceeded why = Fixpoint.report frame (Report.Exceeded why) in
   let only report =
     { report; resumed_at = None; batch = None; portfolio = None }
   in

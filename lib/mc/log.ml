@@ -1,24 +1,9 @@
-(* Shared log source for the verification methods: per-iteration debug
-   lines (set level Debug, e.g. via icv --verbose, to watch set sizes
-   evolve).  Every iteration is also recorded into Obs.Iterlog so the
-   post-run summary and bench snapshots can render the per-iteration
-   breakdown, and counted into the "mc.iterations" registry metric. *)
+(* Shared log source for the verification methods.  The per-iteration
+   debug lines are written by Fixpoint, at each iteration boundary. *)
 
 let src = Logs.Src.create "mc" ~doc:"icbdd verification methods"
 
 module L = (val Logs.src_log src : Logs.LOG)
-
-let m_iterations = Obs.Registry.counter Obs.Registry.default "mc.iterations"
-let g_live = Obs.Registry.gauge Obs.Registry.default "mc.peak_live_nodes"
-
-let iteration ~meth ~iteration ~conjuncts ~nodes ~elapsed_s ~live_nodes =
-  Obs.Registry.incr m_iterations;
-  Obs.Registry.set_max g_live (float_of_int live_nodes);
-  Obs.Iterlog.record
-    { Obs.Iterlog.meth; iteration; conjuncts; nodes; elapsed_s; live_nodes };
-  L.debug (fun m ->
-      m "%s iteration %d: %d conjunct(s), %d shared nodes, %.3fs, %d live"
-        meth iteration conjuncts nodes elapsed_s live_nodes)
 
 let attempt ~label ~detail =
   L.info (fun m -> m "attempt %s: %s" label detail)

@@ -298,20 +298,6 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
      the whole run down: the surviving configs are the robustness the
      portfolio exists to provide.  Anything that is not a clean budget
      abort becomes a structured per-config "worker crashed" report. *)
-  let crash_report c why time_s =
-    Obs.Registry.incr M.crashed;
-    {
-      Report.model = model_name;
-      method_name = c.label;
-      status = Report.Exceeded (Printf.sprintf "worker crashed: %s" why);
-      iterations = 0;
-      peak_set_nodes = 0;
-      peak_conjuncts = [];
-      nodes_created = 0;
-      peak_live_nodes = 0;
-      time_s;
-    }
-  in
   let abort_report c why time_s =
     {
       Report.model = model_name;
@@ -325,6 +311,10 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
       time_s;
     }
   in
+  let crash_report c why time_s =
+    Obs.Registry.incr M.crashed;
+    abort_report c (Printf.sprintf "worker crashed: %s" why) time_s
+  in
   let run_config c =
     let t1 = Monotonic.now () in
     (* Hooks go onto the fresh manager before the model is rebuilt
@@ -333,9 +323,9 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
        to read as a hang otherwise.  The fault hook is consulted on
        every node creation, so a cancelled loser aborts within one BDD
        operation; the raise surfaces as a clean Exceeded report
-       through the method's own Limits handling.  [Limits.with_guard]
-       chains whatever progress hook is already installed, so
-       per-config budgets keep working on top. *)
+       through the method's Fixpoint frame, whose budget guard chains
+       whatever progress hook is already installed, so per-config
+       budgets keep working on top. *)
     let install man =
       Bdd.set_fault_hook man
         (Some
@@ -356,8 +346,8 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
       abort_report c why (Monotonic.now () -. t1)
     | exception e -> crash_report c (Printexc.to_string e) 0.0
     | m ->
-      let man = Model.man m in
-      let baseline = Bdd.created_nodes man in
+      let frame = Fixpoint.start ~meth:c.label m in
+      let exceeded why = Fixpoint.report frame (Report.Exceeded why) in
       (try
          Obs.Tracer.with_span tracer ~cat:"parallel"
            ~args:(fun () -> [ ("config", Obs.Json.String c.label) ])
@@ -366,16 +356,8 @@ let portfolio ?(domains = 2) ?(configs = default_portfolio) ?limits
              Runner.run ?limits ?xici_cfg:c.xici_cfg
                ?termination:c.termination ?var_choice:c.var_choice c.meth m)
        with
-      | Limits.Exceeded why ->
-        Report.make ~model:m.Model.name ~method_name:c.label
-          ~status:(Report.Exceeded why) ~iterations:0
-          ~peak:(Report.fresh_peak ()) ~man ~baseline
-          ~time_s:(Monotonic.now () -. t1)
-      | Bdd.Node_budget_exhausted ->
-        Report.make ~model:m.Model.name ~method_name:c.label
-          ~status:(Report.Exceeded "node budget exhausted") ~iterations:0
-          ~peak:(Report.fresh_peak ()) ~man ~baseline
-          ~time_s:(Monotonic.now () -. t1)
+      | Limits.Exceeded why -> exceeded why
+      | Bdd.Node_budget_exhausted -> exceeded "node budget exhausted"
       | e -> crash_report c (Printexc.to_string e) (Monotonic.now () -. t1))
   in
   let worker () =

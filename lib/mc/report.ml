@@ -59,19 +59,6 @@ let header =
   Printf.sprintf "%-8s %9s %5s %10s %8s   %s" "Meth." "Time" "Iter"
     "NodesMade" "SetNodes" "Status"
 
-(* Running maximum tracker for the per-iteration set sizes. *)
-type peak = { mutable nodes : int; mutable conjuncts : int list }
-
-let fresh_peak () = { nodes = 0; conjuncts = [] }
-
-let observe_set peak (xs : Bdd.t list) =
-  let n = Bdd.size_list xs in
-  if n > peak.nodes then begin
-    peak.nodes <- n;
-    peak.conjuncts <-
-      List.sort (fun a b -> compare b a) (List.map Bdd.size xs)
-  end
-
 (* Attempt logs (Job.run) tag rows with the attempt number/budget
    without rebuilding the report. *)
 let relabel r ~method_name = { r with method_name }
@@ -98,16 +85,3 @@ let to_json r =
       ("peak_live_nodes", Obs.Json.Int r.peak_live_nodes);
       ("wall_seconds", Obs.Json.Float r.time_s);
     ]
-
-let make ~model ~method_name ~status ~iterations ~peak ~man ~baseline ~time_s =
-  {
-    model;
-    method_name;
-    status;
-    iterations;
-    peak_set_nodes = peak.nodes;
-    peak_conjuncts = (match peak.conjuncts with [ _ ] -> [] | l -> l);
-    nodes_created = Bdd.created_nodes man - baseline;
-    peak_live_nodes = Bdd.peak_live_nodes man;
-    time_s;
-  }

@@ -43,24 +43,3 @@ val to_json : t -> Obs.Json.t
     peak_set_nodes, peak_conjuncts, nodes_created, peak_live_nodes,
     wall_seconds}]; the status collapses to its verdict word (traces
     stay out of artifacts). *)
-
-(** {1 Peak tracking used by the method implementations} *)
-
-type peak
-
-val fresh_peak : unit -> peak
-
-val observe_set : peak -> Bdd.t list -> unit
-(** Record a per-iteration set representation (singleton list for
-    monolithic methods). *)
-
-val make :
-  model:string ->
-  method_name:string ->
-  status:status ->
-  iterations:int ->
-  peak:peak ->
-  man:Bdd.man ->
-  baseline:int ->
-  time_s:float ->
-  t

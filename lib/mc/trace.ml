@@ -23,22 +23,21 @@ let pick trans set =
   full
 
 (* Forward: [rings] are R_0 ... R_k (increasing); [bad] is a state of
-   R_k violating the property.  Returns a path init .. bad. *)
-let forward trans ~rings ~bad =
+   R_k violating the property.  Returns a path init .. bad.  A ring is
+   whatever represents R_i -- one BDD, a reduced set plus dependencies,
+   a list of disjuncts -- given how it tests a state for membership and
+   how it cuts a predecessor set down to its states. *)
+let forward trans ~mem ~within ~rings ~bad =
   let man = Fsm.Trans.man trans in
   let levels = Fsm.Space.current_levels (Fsm.Trans.space trans) in
   let rings = Array.of_list rings in
-  (* Find the first ring containing bad. *)
-  let rec first_ring i =
-    if Bdd.eval man bad rings.(i) then i else first_ring (i + 1)
-  in
+  let rec first_ring i = if mem bad rings.(i) then i else first_ring (i + 1) in
   let rec walk i state acc =
     if i = 0 then state :: acc
     else begin
       let cube = state_cube man levels state in
-      let preds = Bdd.band man (Fsm.Trans.pre_image trans cube) rings.(i - 1) in
-      let p = pick trans preds in
-      walk (i - 1) p (state :: acc)
+      let preds = within (Fsm.Trans.pre_image trans cube) rings.(i - 1) in
+      walk (i - 1) (pick trans preds) (state :: acc)
     end
   in
   walk (first_ring 0) bad []

@@ -8,10 +8,17 @@ val pick : Fsm.Trans.t -> Bdd.t -> bool array
     assignment. *)
 
 val forward :
-  Fsm.Trans.t -> rings:Bdd.t list -> bad:bool array -> Report.trace
+  Fsm.Trans.t ->
+  mem:(bool array -> 'r -> bool) ->
+  within:(Bdd.t -> 'r -> Bdd.t) ->
+  rings:'r list ->
+  bad:bool array ->
+  Report.trace
 (** Walk back through forward-traversal onion rings [R_0; ...; R_k]
     from a violating state of [R_k]; returns a path from an initial
-    state to [bad]. *)
+    state to [bad].  [mem state r] tests membership in a ring and
+    [within preds r] restricts a predecessor set to the ring's states
+    (nonempty, for a ring the walk steps into). *)
 
 val backward :
   Fsm.Trans.t -> gs:Ici.Clist.t list -> start:bool array -> Report.trace

@@ -29,7 +29,7 @@ let lists_pointwise_equal a b =
    snapshot instead of from G_0.  When resuming, [cfg] and
    [termination] default to the checkpointed values so the continued
    run uses the policy that produced the snapshot. *)
-let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
+let run_full ?limits ?cfg ?termination
     ?(var_choice = Ici.Tautology.First_top) ?tautology_stats
     ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
   let cfg =
@@ -49,19 +49,10 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
   | None -> ());
   let man = Model.man model in
   let trans = model.Model.trans in
-  let lim = limits man in
-  let baseline = Bdd.created_nodes man in
-  let peak = Report.fresh_peak () in
-  let iterations = ref 0 in
   let taut_stats =
     match tautology_stats with
     | Some s -> s
     | None -> Ici.Tautology.fresh_stats ()
-  in
-  let finish status =
-    Report.make ~model:model.Model.name ~method_name:"XICI" ~status
-      ~iterations:!iterations ~peak ~man ~baseline
-      ~time_s:(Limits.elapsed lim)
   in
   (* Run-scoped caches: the policy's pair table survives across
      traversal iterations (pairs of unchanged conjuncts keep their
@@ -81,14 +72,15 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
         man l l'
   in
   let final = ref None in
-  let maybe_checkpoint l gs =
+  let maybe_checkpoint fx l gs =
+    let iterations = Fixpoint.iterations fx in
     match checkpoint_path with
-    | Some path when !iterations mod max 1 checkpoint_every = 0 ->
+    | Some path when iterations mod max 1 checkpoint_every = 0 ->
       Checkpoint.save man path
         {
           Checkpoint.model_name = model.Model.name;
           nvars = Bdd.num_vars man;
-          iterations = !iterations;
+          iterations;
           cfg;
           termination;
           current = l;
@@ -97,88 +89,66 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
     | Some _ | None -> ()
   in
   let tracer = Obs.Tracer.global () in
-  Limits.with_guard lim man (fun () ->
-    try
-      let l0 = Ici.Clist.of_list man (Model.property model) in
-      (* Each fixpoint iteration runs inside a span; the recursive call
-         happens outside it (the step returns `Continue), so spans are
-         siblings on the trace timeline rather than a nest as deep as
-         the iteration count. *)
-      let step l gs =
-        maybe_checkpoint l gs;
-        Limits.check_iteration lim man ~iteration:!iterations;
-        Report.observe_set peak l;
-        Log.iteration ~meth:"XICI" ~iteration:!iterations
-          ~conjuncts:(Ici.Clist.length l)
-          ~nodes:(Ici.Clist.shared_size l)
-          ~elapsed_s:(Limits.elapsed lim) ~live_nodes:(Bdd.live_nodes man);
-        match Ici.Clist.find_unimplied man model.Model.init l with
-        | Some c ->
-          let start =
-            Trace.pick trans (Bdd.band man model.Model.init (Bdd.bnot man c))
-          in
-          `Done
-            (finish
-               (Report.Violated
-                  (Trace.backward trans ~gs:(List.rev gs) ~start)))
-        | None ->
-          incr iterations;
-          let back =
-            Obs.Tracer.with_span tracer ~cat:"mc" "xici.back_image"
-              (fun () -> List.map (Fsm.Trans.back_image trans) l)
-          in
-          let l' = improve (l0 @ back) in
-          if Ici.Clist.is_false l' then begin
-            (* Good states form an empty inductive core; any start state
-               is a violation unless init is empty. *)
-            match Ici.Clist.find_unimplied man model.Model.init l' with
-            | Some c ->
-              let start =
-                Trace.pick trans
-                  (Bdd.band man model.Model.init (Bdd.bnot man c))
-              in
+  let iterations =
+    Option.map (fun cp -> cp.Checkpoint.iterations) resume_from
+  in
+  let report =
+    Fixpoint.run ?limits ?iterations ~meth:"XICI" model (fun fx ->
+        let l0 = Ici.Clist.of_list man (Model.property model) in
+        (* Each fixpoint iteration runs inside a span; the recursive
+           call happens outside it (the step returns `Continue), so
+           spans are siblings on the trace timeline rather than a nest
+           as deep as the iteration count. *)
+        let step l gs =
+          maybe_checkpoint fx l gs;
+          Fixpoint.iteration fx l;
+          match Fixpoint.violation fx l ~history:gs with
+          | Some violated -> `Done violated
+          | None ->
+            Fixpoint.advance fx;
+            let back =
+              Obs.Tracer.with_span tracer ~cat:"mc" "xici.back_image"
+                (fun () -> List.map (Fsm.Trans.back_image trans) l)
+            in
+            let l' = improve (l0 @ back) in
+            if Ici.Clist.is_false l' then
+              (* Good states form an empty inductive core; any start
+                 state is a violation unless init is empty. *)
               `Done
-                (finish
-                   (Report.Violated
-                      (Trace.backward trans ~gs:(List.rev (l' :: gs)) ~start)))
-            | None -> `Done (finish Report.Proved)
-          end
-          else if converged l l' then begin
-            final := Some l';
-            `Done (finish Report.Proved)
-          end
-          else `Continue (l', l' :: gs)
-      in
-      let rec iterate l gs =
-        let i = !iterations in
-        match
-          Obs.Tracer.with_span tracer ~cat:"mc"
-            ~args:(fun () ->
-              (* Evaluated at span close, so live_nodes reflects the
-                 manager after the step — the number a post-mortem
-                 wants when attributing a blowup to an iteration. *)
-              [
-                ("iteration", Obs.Json.Int i);
-                ("conjuncts", Obs.Json.Int (Ici.Clist.length l));
-                ("live_nodes", Obs.Json.Int (Bdd.live_nodes man));
-              ])
-            "xici.iteration"
-            (fun () -> step l gs)
-        with
-        | `Done report -> report
-        | `Continue (l', gs') -> iterate l' gs'
-      in
-      let report =
+                (Option.value ~default:Report.Proved
+                   (Fixpoint.violation fx l' ~history:(l' :: gs)))
+            else if converged l l' then begin
+              final := Some l';
+              `Done Report.Proved
+            end
+            else `Continue (l', l' :: gs)
+        in
+        let rec iterate l gs =
+          let i = Fixpoint.iterations fx in
+          match
+            Obs.Tracer.with_span tracer ~cat:"mc"
+              ~args:(fun () ->
+                (* Evaluated at span close, so live_nodes reflects the
+                   manager after the step — the number a post-mortem
+                   wants when attributing a blowup to an iteration. *)
+                [
+                  ("iteration", Obs.Json.Int i);
+                  ("conjuncts", Obs.Json.Int (Ici.Clist.length l));
+                  ("live_nodes", Obs.Json.Int (Bdd.live_nodes man));
+                ])
+              "xici.iteration"
+              (fun () -> step l gs)
+          with
+          | `Done status -> status
+          | `Continue (l', gs') -> iterate l' gs'
+        in
         match resume_from with
-        | Some cp ->
-          iterations := cp.Checkpoint.iterations;
-          iterate cp.Checkpoint.current cp.Checkpoint.gs
+        | Some cp -> iterate cp.Checkpoint.current cp.Checkpoint.gs
         | None ->
           let start_list = improve l0 in
-          iterate start_list [ start_list ]
-      in
-      (report, !final)
-    with Limits.Exceeded why -> (finish (Report.Exceeded why), None))
+          iterate start_list [ start_list ])
+  in
+  (report, !final)
 
 let run ?limits ?cfg ?termination ?var_choice ?tautology_stats
     ?checkpoint_path ?checkpoint_every ?resume_from model =

@@ -1,5 +1,5 @@
 (* Per-iteration fixpoint records.  Every method's iteration logging
-   (via Mc.Log.iteration) lands here so the post-run summary can print
+   (via Mc.Fixpoint.iteration) lands here so the post-run summary can print
    a per-iteration breakdown without re-running anything.  The buffer
    is domain-local: methods racing on worker domains (parallel
    portfolio, daemon workers) each accumulate their own rows instead of

@@ -1,4 +1,4 @@
-(** Per-iteration fixpoint records, fed by [Mc.Log.iteration] and read
+(** Per-iteration fixpoint records, fed by [Mc.Fixpoint.iteration] and read
     back by the post-run summary and bench snapshots.  One run buffer
     {e per domain} (worker domains do not interleave rows into the main
     domain's buffer); the caller clears its own domain's buffer between

@@ -287,6 +287,46 @@ let toggle_model () =
   let trans = Fsm.Trans.make sp ~assigns:[ (b, Bdd.bnot man cur) ] in
   Mc.Model.make ~name:"toggle" ~space:sp ~trans ~init:cur ~good:[ cur ] ()
 
+(* The fixpoint frame's contract: a run's reported peak is the largest
+   set its iteration log recorded, and every row it logged was counted
+   in "mc.iterations".  Checked for every symbolic method on a model
+   that proves and one that is violated. *)
+let test_frame_contract () =
+  let counter = Obs.Registry.counter Obs.Registry.default "mc.iterations" in
+  let filter bug () =
+    Models.Avg_filter.make
+      { Models.Avg_filter.depth = 2; sample_width = 3; assisted = false; bug }
+  in
+  List.iter
+    (fun (make, expect_proved) ->
+      List.iter
+        (fun meth ->
+          let model = make () in
+          let name = Mc.Runner.name meth in
+          Obs.Iterlog.clear ();
+          let before = Obs.Registry.count counter in
+          let r = Mc.Runner.run ~limits meth model in
+          let rows = Obs.Iterlog.rows () in
+          Alcotest.(check bool)
+            (name ^ " verdict") expect_proved (Mc.Report.is_proved r);
+          Alcotest.(check bool)
+            (name ^ " decided") true (Mc.Report.decided r);
+          Alcotest.(check bool) (name ^ " logged rows") true (rows <> []);
+          Alcotest.(check bool)
+            (name ^ " peak is not empty") true (r.Mc.Report.peak_set_nodes > 0);
+          Alcotest.(check int)
+            (name ^ " peak is the largest logged set")
+            (List.fold_left
+               (fun m (row : Obs.Iterlog.row) -> max m row.Obs.Iterlog.nodes)
+               0 rows)
+            r.Mc.Report.peak_set_nodes;
+          Alcotest.(check int)
+            (name ^ " every row counted")
+            (List.length rows)
+            (Obs.Registry.count counter - before))
+        Mc.Runner.[ Backward; Forward; Fd; Ici; Xici; Idi ])
+    [ (filter false, true); (filter true, false) ]
+
 let test_collapse_counterexample () =
   List.iter
     (fun termination ->
@@ -660,6 +700,8 @@ let () =
           Alcotest.test_case "inductiveness checker" `Quick test_induction;
           Alcotest.test_case "collapsed good set reconstructs a trace" `Quick
             test_collapse_counterexample;
+          Alcotest.test_case "frame peak and counter match the iteration log"
+            `Quick test_frame_contract;
         ] );
       ( "batch",
         [
