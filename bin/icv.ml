@@ -84,8 +84,8 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
   end;
   let model = build_model model_name depth width procs regs bound assisted bug in
   let limits man =
-    Mc.Limits.start ~max_seconds ~max_live_nodes:max_live ~max_iterations:200
-      man
+    Mc.Limits.start ~max_seconds ~max_live_nodes:max_live
+      ?max_created_nodes:max_created ~max_iterations:200 man
   in
   let xici_cfg = { Ici.Policy.default with grow_threshold } in
   let show_trace label r =
@@ -597,8 +597,9 @@ let () =
       value & opt (some int) None
       & info [ "max-created-nodes" ]
           ~doc:
-            "Initial created-node budget; escalated between resilient \
-             attempts.")
+            "Created-node budget of each run; with $(b,--resilient) or \
+             $(b,--fallback), the first attempt's budget, escalated \
+             between attempts.")
   in
   let checkpoint =
     Arg.(

@@ -141,9 +141,13 @@ let gc_events = Man.gc_events
 let clear_caches = Man.clear_caches
 let gc = Man.gc
 let check_invariants = Man.check_invariants
+let progress_period = Man.progress_period
 let set_progress_hook = Man.set_progress_hook
 let progress_hook = Man.progress_hook
 let set_fault_hook = Man.set_fault_hook
+let set_headroom_hook = Man.set_headroom_hook
+let headroom_hook = Man.headroom_hook
+let headroom = Man.headroom
 let with_node_budget = Man.with_node_budget
 
 exception Node_budget_exhausted = Man.Node_budget_exhausted

@@ -253,10 +253,15 @@ val unique_table_stats : man -> (string * int) list
     node store grows separately, by segments, and is not counted) and
     [sweeps] ({!gc} passes). *)
 
+val progress_period : int
+(** 65536: the progress hook runs once per this many node creations and
+    once per this many recursion steps. *)
+
 val set_progress_hook : man -> (man -> unit) option -> unit
-(** Callback invoked every 64K node creations, even in the middle of a
-    single BDD operation; raising from it aborts the operation (this is
-    how resource budgets interrupt blown-up images). *)
+(** Callback invoked every {!progress_period} node creations and
+    recursion steps, even in the middle of a single BDD operation;
+    raising from it aborts the operation (this is how resource budgets
+    interrupt blown-up images). *)
 
 val progress_hook : man -> (man -> unit) option
 (** The currently installed progress hook, so guards can chain and
@@ -271,18 +276,34 @@ val set_fault_hook : man -> (man -> unit) option -> unit
     portfolio fallback) deterministically instead of only on real
     blowups. *)
 
+val set_headroom_hook : man -> (man -> int) option -> unit
+(** How many more nodes the current run's resource guard lets it create
+    before stopping it.  The kernel never enforces this: it informs
+    computations that can choose between strategies, such as the image
+    race of [Fsm.Trans], how much they may spend on one attempt while
+    leaving room for another. *)
+
+val headroom_hook : man -> (man -> int) option
+(** The installed headroom callback, so guards can chain and restore
+    it. *)
+
+val headroom : man -> int option
+(** The installed callback's current answer; [None] when no guard
+    bounds the run. *)
+
 exception Node_budget_exhausted
 (** Raised by the {!with_node_budget} guard hook (and catchable by
     resilient drivers when a fault-injection hook raises it outside any
     budget region). *)
 
-val with_node_budget :
-  ?max_steps:int -> man -> max_new_nodes:int -> (unit -> 'a) -> 'a option
-(** Run a computation that is abandoned ([None]) once it has created
-    more than [max_new_nodes] nodes or run more than [max_steps]
-    non-cached recursion steps (sampled at the progress-hook cadence;
-    enclosing hooks keep running).  Used to race alternative
-    image-computation strategies. *)
+val with_node_budget : man -> max_new_nodes:int -> (unit -> 'a) -> 'a option
+(** Run a computation that is abandoned ([None]) once it would create
+    more than [max_new_nodes] nodes.  The budget is exact: a creation
+    that would pass it raises instead, so an abandoned computation
+    created exactly [max_new_nodes] nodes.  Only this region's own
+    exhaustion yields [None]: an enclosing budget running out inside it,
+    or a fault hook raising {!Node_budget_exhausted}, propagates.  Used
+    to race alternative image-computation strategies. *)
 
 val steps : man -> int
 (** Monotone count of non-cached recursion steps across all operations

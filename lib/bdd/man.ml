@@ -69,6 +69,8 @@ type t = {
   mutable cache_entries_budget : int;
   mutable progress_hook : (t -> unit) option;
   mutable fault_hook : (t -> unit) option;
+  mutable headroom : (t -> int) option;
+  mutable node_limit : int;     (* [intern] raises rather than pass it *)
 }
 
 let fresh_cstat () = { hits = 0; misses = 0 }
@@ -100,6 +102,8 @@ let create ?(cache_budget = 2_000_000) () =
     cache_entries_budget = cache_budget;
     progress_hook = None;
     fault_hook = None;
+    headroom = None;
+    node_limit = max_int;
   }
 
 (* O(1) invalidation of all memo state (generation bump). *)
@@ -117,13 +121,17 @@ let maybe_trim_caches man =
     Computed.trim man.computed
   end
 
+(* The progress hook runs once per [progress_period] node creations and
+   once per [progress_period] recursion steps. *)
+let progress_period = 0x10000
+
 (* Bump the operation-step counter; drives the progress hook at the
    same cadence as node creation so budgets also catch computations
    that churn without creating nodes (pure cache-hit avalanches). *)
 let tick man =
   man.steps <- man.steps + 1;
   (match man.fault_hook with None -> () | Some hook -> hook man);
-  if man.steps land 0xFFFF = 0 then
+  if man.steps land (progress_period - 1) = 0 then
     match man.progress_hook with None -> () | Some hook -> hook man
 
 let steps man = man.steps
@@ -184,23 +192,28 @@ let cache_stats man =
 let computed_table_stats man = Computed.stats man.computed
 let unique_table_stats man = Unique.stats man.store
 
-(* Interning; returns the node index.  [hi] must be a regular edge. *)
+exception Node_budget_exhausted
+
+(* Interning; returns the node index.  [hi] must be a regular edge.
+   A creation that would pass [node_limit] raises instead, so a budget
+   set by [with_node_budget] stops its computation at an exact count. *)
 let intern man lvl lo hi =
   let st = man.store in
   let found = Unique.find st lvl lo hi in
   if found > 0 then found
   else begin
+    if man.created >= man.node_limit then raise Node_budget_exhausted;
     let n = Unique.add st (lnot found) lvl lo hi in
     man.created <- man.created + 1;
     (match man.fault_hook with None -> () | Some hook -> hook man);
     (* The live counter is O(1), so the peak is seeded on every
        creation (short runs no longer report a peak of 0); the 64K
        cadence below only drives the progress hook (resource-limit
-       checks that can interrupt a blown-up operation) and the budget
-       check. *)
+       checks that can interrupt a blown-up operation) and the cache
+       budget check. *)
     let live = st.Repr.live in
     if live > man.peak_live then man.peak_live <- live;
-    if man.created land 0xFFFF = 0 then begin
+    if man.created land (progress_period - 1) = 0 then begin
       maybe_trim_caches man;
       match man.progress_hook with None -> () | Some hook -> hook man
     end;
@@ -280,6 +293,12 @@ let perm_id man perm =
 let set_progress_hook man hook = man.progress_hook <- hook
 let progress_hook man = man.progress_hook
 
+(* The run's guard says how many more nodes it will let the run create;
+   the kernel never enforces it. *)
+let set_headroom_hook man f = man.headroom <- f
+let headroom_hook man = man.headroom
+let headroom man = Option.map (fun f -> f man) man.headroom
+
 (* Unlike the (sampled) progress hook, the fault hook is consulted on
    every recursion step and every node creation, so a hook keyed on
    [created] or [steps] fires at an exact, reproducible point.  Used by
@@ -302,25 +321,20 @@ let vcompose_entry man subst =
     Subst_tbl.add man.vcomposes subst (id, edges);
     (id, edges)
 
-exception Node_budget_exhausted
-
-(* Run [f] with an additional (chained) progress hook that aborts once
-   more than [max_new_nodes] nodes have been created or [max_steps]
-   non-cached recursion steps have run; [None] on abort.  Budgets below
-   the 64K sampling cadence fire late, so use generous budgets.  Any
-   hook installed by an enclosing guard keeps running. *)
-let with_node_budget ?(max_steps = max_int) man ~max_new_nodes f =
-  let baseline = man.created in
-  let step_baseline = man.steps in
-  let old = man.progress_hook in
-  let hook m =
-    (match old with Some h -> h m | None -> ());
-    if
-      m.created - baseline > max_new_nodes
-      || m.steps - step_baseline > max_steps
-    then raise Node_budget_exhausted
+(* Run [f] under a budget of [max_new_nodes] more node creations; [None]
+   on abort.  The budget is exact: the manager's [node_limit] makes a
+   creation that would pass it raise instead.  Only this region's own
+   exhaustion is caught: an enclosing budget that runs out inside it, or
+   a fault hook raising [Node_budget_exhausted], propagates. *)
+let with_node_budget man ~max_new_nodes f =
+  let limit =
+    if max_new_nodes >= max_int - man.created then max_int
+    else man.created + max_new_nodes
   in
-  man.progress_hook <- Some hook;
+  let outer = man.node_limit in
+  man.node_limit <- min outer limit;
   Fun.protect
-    ~finally:(fun () -> man.progress_hook <- old)
-    (fun () -> try Some (f ()) with Node_budget_exhausted -> None)
+    ~finally:(fun () -> man.node_limit <- outer)
+    (fun () ->
+      try Some (f ())
+      with Node_budget_exhausted when man.created >= limit -> None)

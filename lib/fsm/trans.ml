@@ -30,9 +30,13 @@ type t = {
   subst : Bdd.t option array; (* cur level -> its next-state function *)
   next_to_cur : int array;
   cur_to_next : int array;
+  mutable lead : image_path; (* the path the last [`Auto] call won with *)
+  mutable lead_cost : int; (* nodes that winning attempt created *)
 }
 
-type image_via = [ `Auto | `Compose | `Relational ]
+and image_path = [ `Compose | `Relational ]
+
+type image_via = [ `Auto | image_path ]
 
 let space t = t.space
 let man t = Space.man t.space
@@ -75,6 +79,8 @@ let make ?input_constraint space ~assigns =
     subst;
     next_to_cur = Space.next_to_cur_perm space;
     cur_to_next = Space.cur_to_next_perm space;
+    lead = `Compose;
+    lead_cost = 0;
   }
 
 (* Conjoin [parts] with the transition conjuncts, existentially
@@ -124,11 +130,8 @@ let image ?(extra = []) t z =
    directly into Z ([Bdd.vector_compose]) and quantifies the inputs:
    PreImage(delta, Z) = exists inp [C /\ Z(f(s, inp))].  The
    [`Relational] path runs the early-quantification relational product.
-   Neither dominates (composition wins on control-heavy machines,
-   early quantification on wide-datapath sums), so the default [`Auto]
-   tries composition under a node budget and falls back; all paths
-   compute the same set (tested against each other and against
-   explicit-state enumeration). *)
+   All paths compute the same set (tested against each other and
+   against explicit-state enumeration). *)
 let pre_image_compose t z =
   let man = man t in
   let zf = Bdd.vector_compose man t.subst z in
@@ -153,20 +156,98 @@ let pre_image_relational t z =
   relational_product man ~quant:t.backward_quant ~conjuncts
     [ z'; t.input_constraint ]
 
-let pre_image ?(via = `Auto) t z =
-  match via with
+(* Process-wide race outcomes ("fsm.image.*" in Obs.Registry.default):
+   which path each [`Auto] call ended with, and the nodes that
+   collecting the abandoned attempts freed. *)
+module M = struct
+  let reg = Obs.Registry.default
+  let compose_wins = Obs.Registry.counter reg "fsm.image.compose_wins"
+  let relational_wins = Obs.Registry.counter reg "fsm.image.relational_wins"
+  let reclaimed_nodes = Obs.Registry.counter reg "fsm.image.reclaimed_nodes"
+end
+
+let run_path t z = function
   | `Compose -> pre_image_compose t z
   | `Relational -> pre_image_relational t z
-  | `Auto ->
-    let size_z = Bdd.size z in
-    let node_budget = 1_000_000 + (64 * size_z) in
-    let step_budget = 4_000_000 + (256 * size_z) in
-    (match
-       Bdd.with_node_budget (man t) ~max_new_nodes:node_budget
-         ~max_steps:step_budget (fun () -> pre_image_compose t z)
-     with
-    | Some r -> r
-    | None -> pre_image_relational t z)
+
+let other = function `Compose -> `Relational | `Relational -> `Compose
+
+(* Neither path dominates: composition wins on control-heavy machines
+   (network-6's back image: 1.08M nodes against 4.78M), early
+   quantification on wide-datapath sums (avg-filter-8's last XICI back
+   image: 16.9K against 363K).  So [`Auto] races them, paying in full
+   only for the winner:
+   - the path that won this relation's last [`Auto] call (composition
+     on the first) runs under max(F, 2 x that win's nodes), F being one
+     progress-hook period;
+   - if it is abandoned, the other path runs once under twice the nodes
+     the first attempt created;
+   - if both are abandoned, the first path runs again with no budget
+     of its own, so only the caller's guard can stop it -- except that
+     where the guard would stop the run ([Bdd.headroom]: the nodes it
+     lets the run still create), the attempt is abandoned instead and
+     the other path finishes under the guard.  Collecting the abandoned
+     attempt gives the live-node headroom back, so the run fails by a
+     live budget only if neither path fits in it.
+   Node budgets only, never a clock, so which path wins -- and every
+   node count -- is the same on every machine.  An abandoned attempt's
+   nodes are garbage, and every value a caller still needs is a held
+   handle (the tag-keyed caches of [Ici] drop themselves when
+   [Bdd.gc_events] moves), so a [Bdd.gc] before the next attempt
+   reclaims them, along with whatever else the caller has let go of
+   since the last collection.  A call whose first attempt wins collects
+   nothing. *)
+let race t z =
+  let man = man t in
+  let attempt path budget =
+    let before = Bdd.created_nodes man in
+    let r =
+      Bdd.with_node_budget man ~max_new_nodes:budget (fun () ->
+          run_path t z path)
+    in
+    (r, Bdd.created_nodes man - before)
+  in
+  let reclaim () =
+    let live = Bdd.live_nodes man in
+    Bdd.gc man;
+    Obs.Registry.add M.reclaimed_nodes (live - Bdd.live_nodes man)
+  in
+  let win path cost r =
+    t.lead <- path;
+    t.lead_cost <- cost;
+    Obs.Registry.incr
+      (match path with
+      | `Compose -> M.compose_wins
+      | `Relational -> M.relational_wins);
+    r
+  in
+  let finish path =
+    let before = Bdd.created_nodes man in
+    let r = run_path t z path in
+    win path (Bdd.created_nodes man - before) r
+  in
+  let first = t.lead in
+  match attempt first (max Bdd.progress_period (2 * t.lead_cost)) with
+  | Some r, cost -> win first cost r
+  | None, spent -> (
+    reclaim ();
+    match attempt (other first) (2 * spent) with
+    | Some r, cost -> win (other first) cost r
+    | None, _ -> (
+      reclaim ();
+      let room = Option.value (Bdd.headroom man) ~default:max_int in
+      match attempt first room with
+      | Some r, cost -> win first cost r
+      | None, _ ->
+        reclaim ();
+        finish (other first)))
+
+let pre_image ?(via = `Auto) t z =
+  match via with
+  | #image_path as path -> run_path t z path
+  | `Auto -> race t z
+
+let race_leader t = t.lead
 
 (* BackImage(delta, Z) = not PreImage(delta, not Z): the states all of
    whose successors lie in Z (Definition 1 / Theorem 1 of the paper). *)

@@ -33,16 +33,28 @@ val image : ?extra:Bdd.t list -> t -> Bdd.t -> Bdd.t
     schedule without materialising the conjunction (used by the
     functional-dependency method). *)
 
-type image_via = [ `Auto | `Compose | `Relational ]
-(** Backward-image computation method: substitute the next-state
+type image_path = [ `Compose | `Relational ]
+(** The two ways to compute a backward image: substitute the next-state
     functions into the target ([`Compose]) or run the
-    early-quantification relational product ([`Relational]).  Neither
-    dominates, so the default [`Auto] races composition under a node
-    budget and falls back to the relational product; the ablation
-    benchmark compares all three. *)
+    early-quantification relational product ([`Relational]). *)
+
+type image_via = [ `Auto | image_path ]
+(** Neither path dominates, so the default [`Auto] races them under
+    node budgets: the path that won this relation's last [`Auto] call
+    goes first, the other runs once if it is abandoned, and one
+    {!Bdd.gc} reclaims what abandoned attempts created.  Every value a
+    caller holds as a handle survives that collection; a table keyed by
+    {!Bdd.tag}s must drop itself when {!Bdd.gc_events} moves.  The
+    registry counters [fsm.image.compose_wins],
+    [fsm.image.relational_wins] and [fsm.image.reclaimed_nodes] count
+    the outcomes.  The ablation benchmark compares all three. *)
 
 val pre_image : ?via:image_via -> t -> Bdd.t -> Bdd.t
 (** States with at least one successor in [z]. *)
+
+val race_leader : t -> image_path
+(** The path the next [`Auto] call on this relation tries first: the
+    winner of the last one ([`Compose] before any). *)
 
 val back_image : ?via:image_via -> t -> Bdd.t -> Bdd.t
 (** States all of whose successors are in [z]. *)

@@ -296,34 +296,65 @@ let test_fault_hook () =
   Alcotest.(check bool) "clean after hook removal" true
     (Bdd.size (conj ()) = 9)
 
+let test_node_budget_exact () =
+  (* The node budget is checked on every creation, not at the progress
+     cadence: a computation creating thousands of nodes stops where the
+     next creation would pass the budget.  An enclosing budget that runs
+     out inside an inner region belongs to the enclosing region. *)
+  let man, vars = Testutil.fresh_man 24 in
+  let adder () =
+    (* The carry out of a 12-bit ripple adder, rebuilt from scratch. *)
+    Bdd.clear_caches man;
+    let carry = ref (Bdd.fls man) in
+    for i = 0 to 11 do
+      let a = Bdd.var man vars.(i) and b = Bdd.var man vars.(23 - i) in
+      carry :=
+        Bdd.bor man (Bdd.band man a b) (Bdd.band man !carry (Bdd.bxor man a b))
+    done;
+    !carry
+  in
+  let start = Bdd.created_nodes man in
+  Alcotest.(check bool) "abandoned" true
+    (Bdd.with_node_budget man ~max_new_nodes:1000 adder = None);
+  Alcotest.(check int) "stopped at the budget" (start + 1000)
+    (Bdd.created_nodes man);
+  let start = Bdd.created_nodes man in
+  let inner_result = ref None in
+  let outer =
+    Bdd.with_node_budget man ~max_new_nodes:500 (fun () ->
+        inner_result :=
+          Some (Bdd.with_node_budget man ~max_new_nodes:1000 adder))
+  in
+  Alcotest.(check bool) "the enclosing region is abandoned" true (outer = None);
+  Alcotest.(check bool) "the inner region did not claim it" true
+    (!inner_result = None);
+  Alcotest.(check int) "stopped at the enclosing budget" (start + 500)
+    (Bdd.created_nodes man);
+  Alcotest.(check bool) "no budget left behind" true
+    (Bdd.size (adder ()) > 1)
+
 let test_node_budget_nesting () =
   (* An enclosing progress hook must keep running inside a
-     [with_node_budget] region and be restored after the region aborts. *)
-  let man, vars = Testutil.fresh_man 12 in
-  let xor_of lvls =
-    Array.fold_left
-      (fun acc l -> Bdd.bxor man acc (Bdd.var man l))
-      (Bdd.fls man) lvls
-  in
-  let f = xor_of (Array.sub vars 0 6) in
-  let g = xor_of (Array.sub vars 6 6) in
-  (* Clearing memo caches each pass forces real recursion steps on a
-     recomputation, so the 64K-step progress cadence is reached. *)
-  let churn target =
-    let start = Bdd.steps man in
-    let passes = ref 0 in
-    while Bdd.steps man - start < target && !passes < 1_000_000 do
-      incr passes;
-      Bdd.clear_caches man;
-      ignore (Bdd.band man f g)
-    done
+     [with_node_budget] region and stay installed after the region
+     aborts. *)
+  let man, vars = Testutil.fresh_man 34 in
+  (* The inner product of x = levels 0..16 and a rotation of
+     y = levels 17..33: about 2^17 nodes under this order. *)
+  let inner_product rot =
+    let acc = ref (Bdd.fls man) in
+    for i = 0 to 16 do
+      let y = vars.(17 + ((i + rot) mod 17)) in
+      acc :=
+        Bdd.bxor man !acc (Bdd.band man (Bdd.var man vars.(i)) (Bdd.var man y))
+    done;
+    !acc
   in
   let fired = ref 0 in
   let outer (_ : Bdd.man) = incr fired in
   Bdd.set_progress_hook man (Some outer);
   let inner =
-    Bdd.with_node_budget man ~max_steps:1 ~max_new_nodes:max_int (fun () ->
-        churn 200_000)
+    Bdd.with_node_budget man ~max_new_nodes:100_000 (fun () ->
+        inner_product 0)
   in
   Alcotest.(check bool) "inner budget aborted" true (inner = None);
   Alcotest.(check bool) "enclosing hook ran inside the region" true
@@ -334,7 +365,7 @@ let test_node_budget_nesting () =
       (h == outer)
   | None -> Alcotest.fail "progress hook dropped by with_node_budget");
   let before = !fired in
-  churn 131_072;
+  ignore (inner_product 1);
   Alcotest.(check bool) "enclosing hook still fires after abort" true
     (!fired > before);
   Bdd.set_progress_hook man None
@@ -1262,6 +1293,8 @@ let () =
             test_fault_hook;
           Alcotest.test_case "node budget nests" `Quick
             test_node_budget_nesting;
+          Alcotest.test_case "node budget is exact" `Quick
+            test_node_budget_exact;
           Alcotest.test_case "cube counting" `Quick test_cubes_unit;
           Alcotest.test_case "reorder finds interleaving" `Quick
             test_reorder_interleaves;

@@ -255,6 +255,113 @@ let test_cur_next_adjacent () =
   let b = Fsm.Space.state_bit sp in
   Alcotest.(check int) "next level adjacent to cur" (b.cur + 1) b.next
 
+(* The [`Auto] image race on a call whose first attempt is abandoned:
+   on the assisted depth-8 moving-average filter, the back image of its
+   second and fourth property conjuncts costs composition about 1.46M
+   nodes and the relational product about 51K, so the composition probe
+   (one progress period) is abandoned, collected, and the relational
+   attempt wins. *)
+let race_counter name =
+  Obs.Registry.count (Obs.Registry.counter Obs.Registry.default name)
+
+let filter8_assisted () =
+  Models.Avg_filter.make
+    { Models.Avg_filter.default with depth = 8; assisted = true }
+
+let test_race_abandoned_attempt () =
+  let model = filter8_assisted () in
+  let man = Mc.Model.man model and trans = model.Mc.Model.trans in
+  let property = Mc.Model.property model in
+  let z = Bdd.band man (List.nth property 1) (List.nth property 3) in
+  let held = z :: property in
+  (* The caller's handles, evaluated on fixed random states before the
+     call and again after it. *)
+  let rng = Random.State.make [| 27 |] in
+  let envs =
+    List.init 64 (fun _ ->
+        Array.init (Bdd.num_vars man) (fun _ -> Random.State.bool rng))
+  in
+  let meaning () =
+    List.map (fun h -> (Bdd.size h, List.map (fun e -> Bdd.eval man e h) envs))
+      held
+  in
+  let before = meaning () in
+  let gcs = Bdd.gc_events man in
+  let reclaimed = race_counter "fsm.image.reclaimed_nodes" in
+  let relational_wins = race_counter "fsm.image.relational_wins" in
+  Alcotest.(check bool) "composition leads a fresh relation" true
+    (Fsm.Trans.race_leader trans = `Compose);
+  let auto = Fsm.Trans.back_image trans z in
+  Alcotest.(check int) "the abandoned attempt was collected once" (gcs + 1)
+    (Bdd.gc_events man);
+  Alcotest.(check bool) "the collection freed nodes" true
+    (race_counter "fsm.image.reclaimed_nodes" > reclaimed);
+  Alcotest.(check int) "the relational product won" (relational_wins + 1)
+    (race_counter "fsm.image.relational_wins");
+  Bdd.check_invariants man;
+  Alcotest.(check bool) "the caller's handles mean the same" true
+    (meaning () = before);
+  Alcotest.(check bool) "same BDD as the relational path" true
+    (Bdd.equal auto (Fsm.Trans.back_image ~via:`Relational trans z));
+  Alcotest.(check bool) "same BDD as the composition path" true
+    (Bdd.equal auto (Fsm.Trans.back_image ~via:`Compose trans z))
+
+(* After a relational win, the next [`Auto] call on the same relation
+   starts relational: it wins with no collection and no composition
+   attempt, even on a target where composition is the cheaper path. *)
+let test_race_remembers_winner () =
+  let model = filter8_assisted () in
+  let man = Mc.Model.man model and trans = model.Mc.Model.trans in
+  let property = Mc.Model.property model in
+  ignore
+    (Fsm.Trans.back_image trans
+       (Bdd.band man (List.nth property 1) (List.nth property 3)));
+  Alcotest.(check bool) "the relational product leads" true
+    (Fsm.Trans.race_leader trans = `Relational);
+  let gcs = Bdd.gc_events man in
+  let compose_wins = race_counter "fsm.image.compose_wins" in
+  let relational_wins = race_counter "fsm.image.relational_wins" in
+  let z = List.nth property 0 in
+  let auto = Fsm.Trans.back_image trans z in
+  Alcotest.(check int) "no attempt abandoned" gcs (Bdd.gc_events man);
+  Alcotest.(check int) "no composition win" compose_wins
+    (race_counter "fsm.image.compose_wins");
+  Alcotest.(check int) "a relational win" (relational_wins + 1)
+    (race_counter "fsm.image.relational_wins");
+  Alcotest.(check bool) "still the relational product" true
+    (Fsm.Trans.race_leader trans = `Relational);
+  Alcotest.(check bool) "same BDD as the composition path" true
+    (Bdd.equal auto (Fsm.Trans.back_image ~via:`Compose trans z))
+
+(* When both probes are abandoned, the first path runs again under the
+   whole headroom of the caller's guard; where it would run out, it is
+   abandoned and collected, and the other path finishes.  On the
+   assisted depth-8 filter's first backward image composition blows up
+   past any budget, while the relational product needs about 400K
+   nodes: more than its probe, less than the run's 600K live nodes. *)
+let test_race_headroom () =
+  let model = filter8_assisted () in
+  let man = Mc.Model.man model and trans = model.Mc.Model.trans in
+  let bad = Bdd.bnot man (Bdd.conj man (Mc.Model.property model)) in
+  let limits = Mc.Limits.start ~max_live_nodes:600_000 man in
+  let gcs = Bdd.gc_events man in
+  let relational_wins = race_counter "fsm.image.relational_wins" in
+  let auto =
+    Mc.Limits.with_guard limits man (fun () -> Fsm.Trans.pre_image trans bad)
+  in
+  Alcotest.(check int) "three attempts abandoned and collected" (gcs + 3)
+    (Bdd.gc_events man);
+  Alcotest.(check int) "the relational product finished"
+    (relational_wins + 1)
+    (race_counter "fsm.image.relational_wins");
+  Alcotest.(check bool) "the relational product leads" true
+    (Fsm.Trans.race_leader trans = `Relational);
+  Alcotest.(check bool) "no headroom left installed" true
+    (Bdd.headroom man = None);
+  Bdd.check_invariants man;
+  Alcotest.(check bool) "same BDD as the relational path" true
+    (Bdd.equal auto (Fsm.Trans.pre_image ~via:`Relational trans bad))
+
 let qtest name prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~name ~print:print_spec gen_spec prop)
@@ -272,6 +379,15 @@ let () =
             test_interleaved_words;
           Alcotest.test_case "cur/next adjacency" `Quick
             test_cur_next_adjacent;
+        ] );
+      ( "image race",
+        [
+          Alcotest.test_case "abandoned attempt reclaimed" `Quick
+            test_race_abandoned_attempt;
+          Alcotest.test_case "winner remembered" `Quick
+            test_race_remembers_winner;
+          Alcotest.test_case "headroom decides the last attempt" `Quick
+            test_race_headroom;
         ] );
       ( "vs explicit-state",
         [

@@ -4,9 +4,9 @@
    simulator; random runs must agree state-for-state with the symbolic
    next-state functions (via [Fsm.Trans.step]).  On top of that the
    suite checks verification outcomes (including planted-bug variants
-   with validated counterexample traces) and pins the node counts that
-   reproduce the paper exactly (typed FIFO: 41 = "5 x 9 nodes" implicit
-   vs 543 monolithic). *)
+   with validated counterexample traces), and the claims table states
+   the paper's comparisons that EXPERIMENTS.md reports as reproduced
+   (typed FIFO: 41 = "5 x 9 nodes" implicit vs 543 monolithic, ...). *)
 
 let seed = 0xC0FFEE
 
@@ -63,22 +63,6 @@ let test_fifo_reference () =
           slots.(i) (get_word env' w))
       h.Models.Typed_fifo.slots
   done
-
-let test_fifo_paper_numbers () =
-  (* The exact Table-1 FIFO numbers: implicit conjunction "(5 x 9
-     nodes)" sharing 41, monolithic 543 (and "(10 x 9)" / 32767 at
-     depth 10, checked in the benchmark, not here, for time). *)
-  let model = Models.Typed_fifo.make Models.Typed_fifo.default in
-  let r = Mc.Ici_method.run ~limits model in
-  Alcotest.(check bool) "ICI proves" true (Mc.Report.is_proved r);
-  Alcotest.(check int) "ICI iterations" 1 r.Mc.Report.iterations;
-  Alcotest.(check int) "implicit size 41" 41 r.Mc.Report.peak_set_nodes;
-  Alcotest.(check (list int)) "5 x 9 nodes" [ 9; 9; 9; 9; 9 ]
-    r.Mc.Report.peak_conjuncts;
-  let r = Mc.Xici.run ~limits model in
-  Alcotest.(check int) "XICI implicit size 41" 41 r.Mc.Report.peak_set_nodes;
-  let r = Mc.Backward.run ~limits model in
-  Alcotest.(check int) "monolithic size 543" 543 r.Mc.Report.peak_set_nodes
 
 let test_fifo_all_methods () =
   let p = { Models.Typed_fifo.default with depth = 3; width = 4; bound = 9 } in
@@ -631,15 +615,139 @@ let test_abp_bug () =
   List.iter (check_violated_with_trace model)
     [ Mc.Runner.Forward; Mc.Runner.Backward; Mc.Runner.Xici; Mc.Runner.Idi ]
 
+(* --- the paper's claims as data ---------------------------------------- *)
+
+(* One row per claim of EXPERIMENTS.md's Tables 1-3 comparison: a name,
+   the expected outcome and the input, checked at the bench's --quick
+   budgets.  A claim that stops holding fails its row; changing a claim
+   means editing its row and saying why in EXPERIMENTS.md. *)
+
+let quick_limits man =
+  Mc.Limits.start ~max_live_nodes:400_000 ~max_seconds:30.0
+    ~max_iterations:100 man
+
+type expect =
+  | Proved of {
+      iterations : int option;
+      set : int option;
+      conjuncts : int list option;
+    }  (** proved; each given number must match the report *)
+  | Proved_like of Mc.Runner.meth
+      (** proved, with the iterations and set size of this method's
+          run on the same input *)
+  | Exceeded  (** a budget ran out *)
+
+type claim = {
+  name : string;
+  expect : expect;
+  meth : Mc.Runner.meth;
+  model : unit -> Mc.Model.t;
+}
+
+let proved ?iterations ?set ?conjuncts () =
+  Proved { iterations; set; conjuncts }
+
+let fifo depth () =
+  Models.Typed_fifo.make { Models.Typed_fifo.default with depth }
+
+let filter ?(assisted = false) depth () =
+  Models.Avg_filter.make { Models.Avg_filter.default with depth; assisted }
+
+let cpu regs width () =
+  Models.Pipeline_cpu.make { Models.Pipeline_cpu.default with regs; width }
+
+let claims =
+  let open Mc.Runner in
+  let row name meth model expect = { name; expect; meth; model } in
+  let nines n = List.init n (fun _ -> 9) in
+  [
+    (* Table 1a: the implicit conjunction holds depth x 9 nodes where
+       the monolithic good set needs 543 and 32767. *)
+    row "T1a fifo-5 ICI: 41 = 5 x 9" Ici (fifo 5)
+      (proved ~iterations:1 ~set:41 ~conjuncts:(nines 5) ());
+    row "T1a fifo-5 XICI: 41 = 5 x 9" Xici (fifo 5)
+      (proved ~iterations:1 ~set:41 ~conjuncts:(nines 5) ());
+    row "T1a fifo-5 Bkwd: 543 monolithic" Backward (fifo 5)
+      (proved ~iterations:1 ~set:543 ());
+    row "T1a fifo-10 ICI: 81 = 10 x 9" Ici (fifo 10)
+      (proved ~iterations:1 ~set:81 ~conjuncts:(nines 10) ());
+    row "T1a fifo-10 XICI: 81 = 10 x 9" Xici (fifo 10)
+      (proved ~iterations:1 ~set:81 ~conjuncts:(nines 10) ());
+    row "T1a fifo-10 Bkwd: 32767 monolithic" Backward (fifo 10)
+      (proved ~iterations:1 ~set:32767 ());
+    (* Table 1c: with the assisting invariants, ICI and XICI prove
+       depth 8 in one iteration (at the quick budgets since the image
+       race reclaims abandoned attempts). *)
+    row "T1c filter-8+inv ICI: one iteration" Ici (filter ~assisted:true 8)
+      (proved ~iterations:1 ());
+    row "T1c filter-8+inv XICI: one iteration" Xici (filter ~assisted:true 8)
+      (proved ~iterations:1 ());
+    (* Table 2: without help, ICI degenerates to Bkwd; XICI needs the
+       paper's 2, 3 and 4 iterations; forward traversal blows up. *)
+    row "T2 filter-4 ICI: set nodes = Bkwd's" Ici (filter 4)
+      (Proved_like Backward);
+    row "T2 filter-8 ICI: set nodes = Bkwd's" Ici (filter 8)
+      (Proved_like Backward);
+    row "T2 filter-4 XICI: 2 iterations" Xici (filter 4)
+      (proved ~iterations:2 ());
+    row "T2 filter-8 XICI: 3 iterations" Xici (filter 8)
+      (proved ~iterations:3 ());
+    row "T2 filter-16 XICI: 4 iterations" Xici (filter 16)
+      (proved ~iterations:4 ());
+    row "T2 filter-8 Fwd: exceeds" Forward (filter 8) Exceeded;
+    (* Table 3: ICI works at 2R,1B and dies at 2R,2B; XICI proves
+       4R,1B. *)
+    row "T3 cpu-2R1B ICI: proves" Ici (cpu 2 1) (proved ());
+    row "T3 cpu-2R2B ICI: fails" Ici (cpu 2 2) Exceeded;
+    row "T3 cpu-4R1B XICI: proves" Xici (cpu 4 1) (proved ());
+  ]
+
+let check_claim c () =
+  let run meth = Mc.Runner.run ~limits:quick_limits meth (c.model ()) in
+  let r = run c.meth in
+  let status = Mc.Report.status_string r in
+  let expect_proved () =
+    Alcotest.(check bool) ("proved, not " ^ status) true (Mc.Report.is_proved r)
+  in
+  let check_opt what v actual =
+    Option.iter (fun v -> Alcotest.(check int) what v actual) v
+  in
+  match c.expect with
+  | Proved { iterations; set; conjuncts } ->
+    expect_proved ();
+    check_opt "iterations" iterations r.Mc.Report.iterations;
+    check_opt "set nodes" set r.Mc.Report.peak_set_nodes;
+    Option.iter
+      (fun v ->
+        Alcotest.(check (list int)) "conjunct sizes" v
+          r.Mc.Report.peak_conjuncts)
+      conjuncts
+  | Proved_like other ->
+    expect_proved ();
+    let o = run other in
+    Alcotest.(check bool) "the other method proves" true
+      (Mc.Report.is_proved o);
+    Alcotest.(check int) "iterations" o.Mc.Report.iterations
+      r.Mc.Report.iterations;
+    Alcotest.(check int) "set nodes" o.Mc.Report.peak_set_nodes
+      r.Mc.Report.peak_set_nodes
+  | Exceeded ->
+    Alcotest.(check bool) ("exceeded, not " ^ status) true
+      (match r.Mc.Report.status with
+      | Mc.Report.Exceeded _ -> true
+      | Mc.Report.Proved | Mc.Report.Violated _ -> false)
+
 let () =
   Alcotest.run "models"
     [
+      ( "claims",
+        List.map
+          (fun c -> Alcotest.test_case c.name `Quick (check_claim c))
+          claims );
       ( "typed-fifo",
         [
           Alcotest.test_case "reference simulation" `Quick
             test_fifo_reference;
-          Alcotest.test_case "paper numbers (41 vs 543 nodes)" `Quick
-            test_fifo_paper_numbers;
           Alcotest.test_case "all methods prove" `Quick test_fifo_all_methods;
           Alcotest.test_case "bug variant violated" `Quick test_fifo_bug;
           Alcotest.test_case "explicit-state reachable count" `Quick
