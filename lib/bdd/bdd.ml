@@ -145,9 +145,6 @@ let progress_period = Man.progress_period
 let set_progress_hook = Man.set_progress_hook
 let progress_hook = Man.progress_hook
 let set_fault_hook = Man.set_fault_hook
-let set_headroom_hook = Man.set_headroom_hook
-let headroom_hook = Man.headroom_hook
-let headroom = Man.headroom
 let with_node_budget = Man.with_node_budget
 
 exception Node_budget_exhausted = Man.Node_budget_exhausted

@@ -276,21 +276,6 @@ val set_fault_hook : man -> (man -> unit) option -> unit
     portfolio fallback) deterministically instead of only on real
     blowups. *)
 
-val set_headroom_hook : man -> (man -> int) option -> unit
-(** How many more nodes the current run's resource guard lets it create
-    before stopping it.  The kernel never enforces this: it informs
-    computations that can choose between strategies, such as the image
-    race of [Fsm.Trans], how much they may spend on one attempt while
-    leaving room for another. *)
-
-val headroom_hook : man -> (man -> int) option
-(** The installed headroom callback, so guards can chain and restore
-    it. *)
-
-val headroom : man -> int option
-(** The installed callback's current answer; [None] when no guard
-    bounds the run. *)
-
 exception Node_budget_exhausted
 (** Raised by the {!with_node_budget} guard hook (and catchable by
     resilient drivers when a fault-injection hook raises it outside any

@@ -69,7 +69,6 @@ type t = {
   mutable cache_entries_budget : int;
   mutable progress_hook : (t -> unit) option;
   mutable fault_hook : (t -> unit) option;
-  mutable headroom : (t -> int) option;
   mutable node_limit : int;     (* [intern] raises rather than pass it *)
 }
 
@@ -102,7 +101,6 @@ let create ?(cache_budget = 2_000_000) () =
     cache_entries_budget = cache_budget;
     progress_hook = None;
     fault_hook = None;
-    headroom = None;
     node_limit = max_int;
   }
 
@@ -292,12 +290,6 @@ let perm_id man perm =
 
 let set_progress_hook man hook = man.progress_hook <- hook
 let progress_hook man = man.progress_hook
-
-(* The run's guard says how many more nodes it will let the run create;
-   the kernel never enforces it. *)
-let set_headroom_hook man f = man.headroom <- f
-let headroom_hook man = man.headroom
-let headroom man = Option.map (fun f -> f man) man.headroom
 
 (* Unlike the (sampled) progress hook, the fault hook is consulted on
    every recursion step and every node creation, so a hook keyed on

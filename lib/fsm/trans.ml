@@ -85,8 +85,9 @@ let make ?input_constraint space ~assigns =
 
 (* Conjoin [parts] with the transition conjuncts, existentially
    quantifying every level of [quant] as soon as no remaining conjunct
-   mentions it. *)
-let relational_product man ~quant ~conjuncts parts =
+   mentions it.  [progress] is the share of the conjuncts conjoined so
+   far, so an abandoned product still tells how far it got. *)
+let relational_product ?(progress = ref 0.) man ~quant ~conjuncts parts =
   let quantifiable = Hashtbl.create 64 in
   List.iter (fun l -> Hashtbl.replace quantifiable l 0) (Bdd.varset_levels quant);
   (* Last conjunct index (1-based) mentioning each quantifiable level. *)
@@ -101,12 +102,14 @@ let relational_product man ~quant ~conjuncts parts =
     Hashtbl.fold (fun l last acc -> if last = j then l :: acc else acc)
       quantifiable []
   in
+  let n = List.length conjuncts in
   let base = Bdd.conj man parts in
   let acc = ref (Bdd.exists man (Bdd.varset man (levels_due 0)) base) in
   List.iteri
     (fun j c ->
       let vs = Bdd.varset man (levels_due (j + 1)) in
-      acc := Bdd.and_exists man vs !acc c.relation)
+      acc := Bdd.and_exists man vs !acc c.relation;
+      progress := float_of_int (j + 1) /. float_of_int n)
     conjuncts;
   !acc
 
@@ -137,7 +140,7 @@ let pre_image_compose t z =
   let zf = Bdd.vector_compose man t.subst z in
   Bdd.and_exists man t.input_quant t.input_constraint zf
 
-let pre_image_relational t z =
+let pre_image_relational ?progress t z =
   let man = man t in
   let z' = Bdd.rename man t.cur_to_next z in
   (* Only the conjuncts for bits in the support of [z'] matter: the
@@ -153,7 +156,7 @@ let pre_image_relational t z =
         if List.mem b.Space.next support then Some c else None)
       (List.combine t.assigns t.conjuncts)
   in
-  relational_product man ~quant:t.backward_quant ~conjuncts
+  relational_product ?progress man ~quant:t.backward_quant ~conjuncts
     [ z'; t.input_constraint ]
 
 (* Process-wide race outcomes ("fsm.image.*" in Obs.Registry.default):
@@ -166,9 +169,9 @@ module M = struct
   let reclaimed_nodes = Obs.Registry.counter reg "fsm.image.reclaimed_nodes"
 end
 
-let run_path t z = function
+let run_path ?progress t z = function
   | `Compose -> pre_image_compose t z
-  | `Relational -> pre_image_relational t z
+  | `Relational -> pre_image_relational ?progress t z
 
 let other = function `Compose -> `Relational | `Relational -> `Compose
 
@@ -180,15 +183,21 @@ let other = function `Compose -> `Relational | `Relational -> `Compose
    - the path that won this relation's last [`Auto] call (composition
      on the first) runs under max(F, 2 x that win's nodes), F being one
      progress-hook period;
-   - if it is abandoned, the other path runs once under twice the nodes
-     the first attempt created;
-   - if both are abandoned, the first path runs again with no budget
-     of its own, so only the caller's guard can stop it -- except that
-     where the guard would stop the run ([Bdd.headroom]: the nodes it
-     lets the run still create), the attempt is abandoned instead and
-     the other path finishes under the guard.  Collecting the abandoned
-     attempt gives the live-node headroom back, so the run fails by a
-     live budget only if neither path fits in it.
+   - if it is abandoned, the other path runs once under twice that
+     budget;
+   - if both are abandoned, composition runs under what the relational
+     product is projected to cost in all: the nodes its attempt created
+     over the share of its conjuncts it got through (no budget if it got
+     through none; no attempt if composition already lost under more);
+   - if composition is abandoned there, the relational product finishes
+     with no budget of its own, so only the caller's guard can stop it.
+   A relational attempt that got through none of its conjuncts is stuck
+   in its first step, as on the network models, where composition is
+   4-5x cheaper.  One that got through half of them, as on the filter
+   models, where composition blows up past any budget, is projected at
+   twice its attempt, and composition may spend no more than that: what
+   the race wastes stays near what the relational product costs, also
+   in live nodes.
    Node budgets only, never a clock, so which path wins -- and every
    node count -- is the same on every machine.  An abandoned attempt's
    nodes are garbage, and every value a caller still needs is a held
@@ -199,48 +208,49 @@ let other = function `Compose -> `Relational | `Relational -> `Compose
    nothing. *)
 let race t z =
   let man = man t in
-  let attempt path budget =
+  let progress = ref 0. in
+  let run path budget =
     let before = Bdd.created_nodes man in
-    let r =
+    match
       Bdd.with_node_budget man ~max_new_nodes:budget (fun () ->
-          run_path t z path)
-    in
-    (r, Bdd.created_nodes man - before)
-  in
-  let reclaim () =
-    let live = Bdd.live_nodes man in
-    Bdd.gc man;
-    Obs.Registry.add M.reclaimed_nodes (live - Bdd.live_nodes man)
-  in
-  let win path cost r =
-    t.lead <- path;
-    t.lead_cost <- cost;
-    Obs.Registry.incr
-      (match path with
-      | `Compose -> M.compose_wins
-      | `Relational -> M.relational_wins);
-    r
-  in
-  let finish path =
-    let before = Bdd.created_nodes man in
-    let r = run_path t z path in
-    win path (Bdd.created_nodes man - before) r
+          run_path ~progress t z path)
+    with
+    | Some r ->
+      t.lead <- path;
+      t.lead_cost <- Bdd.created_nodes man - before;
+      Obs.Registry.incr
+        (match path with
+        | `Compose -> M.compose_wins
+        | `Relational -> M.relational_wins);
+      Some r
+    | None ->
+      let live = Bdd.live_nodes man in
+      Bdd.gc man;
+      Obs.Registry.add M.reclaimed_nodes (live - Bdd.live_nodes man);
+      None
   in
   let first = t.lead in
-  match attempt first (max Bdd.progress_period (2 * t.lead_cost)) with
-  | Some r, cost -> win first cost r
-  | None, spent -> (
-    reclaim ();
-    match attempt (other first) (2 * spent) with
-    | Some r, cost -> win (other first) cost r
-    | None, _ -> (
-      reclaim ();
-      let room = Option.value (Bdd.headroom man) ~default:max_int in
-      match attempt first room with
-      | Some r, cost -> win first cost r
-      | None, _ ->
-        reclaim ();
-        finish (other first)))
+  let probe = max Bdd.progress_period (2 * t.lead_cost) in
+  match run first probe with
+  | Some r -> r
+  | None -> (
+    match run (other first) (2 * probe) with
+    | Some r -> r
+    | None -> (
+      let compose_spent, relational_spent =
+        if first = `Compose then (probe, 2 * probe) else (2 * probe, probe)
+      in
+      let projected = float_of_int relational_spent /. !progress in
+      let composed =
+        if projected <= float_of_int compose_spent then None
+        else
+          run `Compose
+            (if projected < float_of_int max_int then int_of_float projected
+             else max_int)
+      in
+      match composed with
+      | Some r -> r
+      | None -> Option.get (run `Relational max_int)))
 
 let pre_image ?(via = `Auto) t z =
   match via with
@@ -248,6 +258,10 @@ let pre_image ?(via = `Auto) t z =
   | `Auto -> race t z
 
 let race_leader t = t.lead
+
+let reset_race t =
+  t.lead <- `Compose;
+  t.lead_cost <- 0
 
 (* BackImage(delta, Z) = not PreImage(delta, not Z): the states all of
    whose successors lie in Z (Definition 1 / Theorem 1 of the paper). *)

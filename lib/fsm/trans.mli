@@ -41,11 +41,13 @@ type image_path = [ `Compose | `Relational ]
 type image_via = [ `Auto | image_path ]
 (** Neither path dominates, so the default [`Auto] races them under
     node budgets: the path that won this relation's last [`Auto] call
-    goes first, the other runs once if it is abandoned, and one
-    {!Bdd.gc} reclaims what abandoned attempts created.  Every value a
-    caller holds as a handle survives that collection; a table keyed by
-    {!Bdd.tag}s must drop itself when {!Bdd.gc_events} moves.  The
-    registry counters [fsm.image.compose_wins],
+    goes first, the other gets one attempt under twice its budget, and
+    if both are abandoned, composition gets what the relational product
+    is projected to cost before the relational product finishes.  A
+    {!Bdd.gc} reclaims each abandoned attempt before the next starts.
+    Every value a caller holds as a handle survives that collection; a
+    table keyed by {!Bdd.tag}s must drop itself when {!Bdd.gc_events}
+    moves.  The registry counters [fsm.image.compose_wins],
     [fsm.image.relational_wins] and [fsm.image.reclaimed_nodes] count
     the outcomes.  The ablation benchmark compares all three. *)
 
@@ -55,6 +57,12 @@ val pre_image : ?via:image_via -> t -> Bdd.t -> Bdd.t
 val race_leader : t -> image_path
 (** The path the next [`Auto] call on this relation tries first: the
     winner of the last one ([`Compose] before any). *)
+
+val reset_race : t -> unit
+(** Forget the last [`Auto] winner: the next call starts with
+    composition, as on a fresh relation.  Every job attempt starts with
+    this, so its node counts do not depend on the runs before it on the
+    same relation. *)
 
 val back_image : ?via:image_via -> t -> Bdd.t -> Bdd.t
 (** States all of whose successors are in [z]. *)

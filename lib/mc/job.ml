@@ -43,6 +43,11 @@ let batch_verdict (res : Batch.result) =
 let attempt ?limits ?xici_cfg ?termination ?checkpoint ?checkpoint_every
     ?resume ?should_cancel ?on_progress ?iter_sink strategy model =
   let man = Model.man model in
+  (* The image race starts from composition in every attempt, so an
+     attempt's node counts do not depend on what ran before it on this
+     model (icv --method all, a model icvd reuses for the next job).
+     Within the attempt, a batch's properties share what it learns. *)
+  Fsm.Trans.reset_race model.Model.trans;
   (* A budget abort that escaped the method (a fault hook firing outside
      its Fixpoint frame) still reports what the attempt consumed. *)
   let frame = Fixpoint.start ~meth:(strategy_name strategy) model in

@@ -61,7 +61,8 @@ val attempt :
     [resume] when it loads ({!Checkpoint.load_opt}; unusable means a
     cold start).  [should_cancel], [on_progress] and [iter_sink] are
     passed to {!Parallel.portfolio}, whose work runs on private
-    managers the caller's hooks never see. *)
+    managers the caller's hooks never see.  The model's image race
+    starts afresh ({!Fsm.Trans.reset_race}). *)
 
 type step = {
   meth : Runner.meth;

@@ -56,46 +56,16 @@ let check_iteration t man ~iteration =
 
 let elapsed t = Monotonic.now () -. t.started_at
 
-(* The nodes the run may still create before [check] stops it: the
-   smaller of what is left of the live and of the created budgets. *)
-let headroom t =
-  if t.max_live_nodes = None && t.max_created_nodes = None then None
-  else
-    let left budget used =
-      match budget with Some n -> max 0 (n - used) | None -> max_int
-    in
-    Some
-      (fun man ->
-        min
-          (left t.max_live_nodes (Bdd.live_nodes man))
-          (left t.max_created_nodes
-             (Bdd.created_nodes man - t.baseline_nodes)))
-
 (* Install the manager progress hook for the duration of [f], so node
-   and time budgets interrupt even a single blown-up BDD operation, and
-   the headroom hook, so an image race can size its last attempts.  Any
-   previously installed hooks keep counting (chained) and are restored
-   afterwards -- including when [f] escapes by exception, which is the
-   normal exit path for a blown budget. *)
+   and time budgets interrupt even a single blown-up BDD operation.
+   Any previously installed hook keeps running (chained) and is
+   restored afterwards -- including when [f] escapes by exception, which
+   is the normal exit path for a blown budget. *)
 let with_guard t man f =
   let old = Bdd.progress_hook man in
   let hook m =
     (match old with Some h -> h m | None -> ());
     check t m
   in
-  let old_room = Bdd.headroom_hook man in
   Bdd.set_progress_hook man (Some hook);
-  (match headroom t with
-  | None -> ()
-  | Some room ->
-    Bdd.set_headroom_hook man
-      (Some
-         (fun m ->
-           match old_room with
-           | Some outer -> min (outer m) (room m)
-           | None -> room m)));
-  Fun.protect
-    ~finally:(fun () ->
-      Bdd.set_progress_hook man old;
-      Bdd.set_headroom_hook man old_room)
-    f
+  Fun.protect ~finally:(fun () -> Bdd.set_progress_hook man old) f

@@ -26,7 +26,5 @@ val elapsed : t -> float
 val with_guard : t -> Bdd.man -> (unit -> 'a) -> 'a
 (** Run [f] with the manager's progress hook checking these budgets, so
     [Exceeded] can interrupt even a single blown-up image computation
-    (the paper's "Exceeded 60MB" rows).  It also installs the manager's
-    headroom hook ({!Bdd.headroom}): what is left of the node budgets.
-    Any previously installed hooks keep counting and are restored
-    afterwards, also when [f] raises. *)
+    (the paper's "Exceeded 60MB" rows).  Any previously installed hook
+    keeps running and is restored afterwards, also when [f] raises. *)

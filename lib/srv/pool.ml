@@ -444,10 +444,11 @@ let limits_for t (job : job) ~remaining ~pressure:p man =
    declaration skip the thaw and keep the previous job's unique/computed
    tables warm.  Only at pressure 0 -- under pressure the scratch is
    dropped so a retained manager cannot hold node capacity hostage.
-   Per-job state cannot leak through the reused manager: the fault hook
-   is reinstalled by [install_hooks] with this job's closure, the
-   iteration sink is per-job (cleared after the solve), and the progress
-   hook installed here closes over this same slot.  The heartbeat hook
+   Per-job state cannot leak through the reused manager or model: the
+   fault hook is reinstalled by [install_hooks] with this job's closure,
+   the iteration sink is per-job (cleared after the solve), the progress
+   hook installed here closes over this same slot, and [Mc.Job.attempt]
+   starts the model's image race afresh ([Fsm.Trans.reset_race]).  The heartbeat hook
    goes onto the fresh manager before the model is rebuilt, so the thaw
    of a large model beats too. *)
 let thaw t slot (job : job) ~pressure:p tracer =

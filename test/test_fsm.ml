@@ -333,17 +333,41 @@ let test_race_remembers_winner () =
   Alcotest.(check bool) "same BDD as the composition path" true
     (Bdd.equal auto (Fsm.Trans.back_image ~via:`Compose trans z))
 
-(* When both probes are abandoned, the first path runs again under the
-   whole headroom of the caller's guard; where it would run out, it is
-   abandoned and collected, and the other path finishes.  On the
-   assisted depth-8 filter's first backward image composition blows up
-   past any budget, while the relational product needs about 400K
-   nodes: more than its probe, less than the run's 600K live nodes. *)
-let test_race_headroom () =
+(* A job attempt starts the race afresh: after a relational win has
+   made the relational product lead, an XICI attempt on the same model
+   starts its first back image with composition, which wins it, as on a
+   fresh model. *)
+let test_race_reset_per_attempt () =
+  let model = filter8_assisted () in
+  let man = Mc.Model.man model and trans = model.Mc.Model.trans in
+  let property = Mc.Model.property model in
+  ignore
+    (Fsm.Trans.back_image trans
+       (Bdd.band man (List.nth property 1) (List.nth property 3)));
+  Alcotest.(check bool) "the relational product leads" true
+    (Fsm.Trans.race_leader trans = `Relational);
+  let compose_wins = race_counter "fsm.image.compose_wins" in
+  let limits man = Mc.Limits.start ~max_created_nodes:4_000_000 man in
+  let r = Mc.Job.attempt ~limits (Mc.Job.Method Mc.Runner.Xici) model in
+  Alcotest.(check string) "proved" "proved"
+    (Mc.Report.status_string r.Mc.Job.report);
+  Alcotest.(check bool) "composition won a call" true
+    (race_counter "fsm.image.compose_wins" > compose_wins)
+
+(* When both probes are abandoned, composition runs under the
+   relational product's projected cost, and the relational product
+   finishes if composition cannot beat it.  On the assisted depth-8
+   filter's first backward image the relational probe gets through
+   about half its conjuncts, so composition, which blows up past any
+   budget, is abandoned a second time, and the relational product
+   finishes with about 400K nodes.  A guard that bounds only the nodes
+   created does not stop the race: everything the race spends fits in
+   1M nodes. *)
+let test_race_projection () =
   let model = filter8_assisted () in
   let man = Mc.Model.man model and trans = model.Mc.Model.trans in
   let bad = Bdd.bnot man (Bdd.conj man (Mc.Model.property model)) in
-  let limits = Mc.Limits.start ~max_live_nodes:600_000 man in
+  let limits = Mc.Limits.start ~max_created_nodes:1_000_000 man in
   let gcs = Bdd.gc_events man in
   let relational_wins = race_counter "fsm.image.relational_wins" in
   let auto =
@@ -356,11 +380,36 @@ let test_race_headroom () =
     (race_counter "fsm.image.relational_wins");
   Alcotest.(check bool) "the relational product leads" true
     (Fsm.Trans.race_leader trans = `Relational);
-  Alcotest.(check bool) "no headroom left installed" true
-    (Bdd.headroom man = None);
   Bdd.check_invariants man;
   Alcotest.(check bool) "same BDD as the relational path" true
-    (Bdd.equal auto (Fsm.Trans.pre_image ~via:`Relational trans bad))
+    (Bdd.equal auto (Fsm.Trans.pre_image ~via:`Relational trans bad));
+  Fsm.Trans.reset_race trans;
+  Alcotest.(check bool) "a reset race starts with composition" true
+    (Fsm.Trans.race_leader trans = `Compose)
+
+(* The other way round: on the network models' backward image the
+   relational product is 4-5x dearer than composition.  With five
+   processes its probe gets through about a third of its conjuncts,
+   and composition wins under the projection; with six it gets through
+   none, and composition finishes with no budget of its own. *)
+let test_race_composition_finishes () =
+  List.iter
+    (fun procs ->
+      let model = Models.Network.make { Models.Network.procs; bug = false } in
+      let man = Mc.Model.man model and trans = model.Mc.Model.trans in
+      let bad = Bdd.bnot man (Bdd.conj man (Mc.Model.property model)) in
+      let gcs = Bdd.gc_events man in
+      let compose_wins = race_counter "fsm.image.compose_wins" in
+      let auto = Fsm.Trans.pre_image trans bad in
+      let name = Printf.sprintf "network-%d: " procs in
+      Alcotest.(check int) (name ^ "both probes abandoned") (gcs + 2)
+        (Bdd.gc_events man);
+      Alcotest.(check int) (name ^ "composition won") (compose_wins + 1)
+        (race_counter "fsm.image.compose_wins");
+      Bdd.check_invariants man;
+      Alcotest.(check bool) (name ^ "same BDD as the composition path") true
+        (Bdd.equal auto (Fsm.Trans.pre_image ~via:`Compose trans bad)))
+    [ 5; 6 ]
 
 let qtest name prop =
   QCheck_alcotest.to_alcotest
@@ -386,8 +435,12 @@ let () =
             test_race_abandoned_attempt;
           Alcotest.test_case "winner remembered" `Quick
             test_race_remembers_winner;
-          Alcotest.test_case "headroom decides the last attempt" `Quick
-            test_race_headroom;
+          Alcotest.test_case "a job attempt starts afresh" `Quick
+            test_race_reset_per_attempt;
+          Alcotest.test_case "the relational product finishes" `Quick
+            test_race_projection;
+          Alcotest.test_case "composition finishes" `Quick
+            test_race_composition_finishes;
         ] );
       ( "vs explicit-state",
         [

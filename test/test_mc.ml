@@ -166,6 +166,20 @@ let test_limits_node_budget () =
   | Mc.Report.Proved | Mc.Report.Violated _ ->
     Alcotest.fail "node budget should trip"
 
+(* A run bounded only by the nodes it creates: the image race's losing
+   attempts must leave the winner room.  On the assisted depth-8 filter
+   composition blows up on the first back image, which the relational
+   product finishes in about 400K nodes; the whole proof creates about
+   1.6M. *)
+let test_created_budget_leaves_race_room () =
+  let model =
+    Models.Avg_filter.make
+      { Models.Avg_filter.default with depth = 8; assisted = true }
+  in
+  let limits man = Mc.Limits.start ~max_created_nodes:5_000_000 man in
+  let r = Mc.Backward.run ~limits model in
+  Alcotest.(check string) "proved" "proved" (Mc.Report.status_string r)
+
 let test_report_strings () =
   let model = counter_model ~good_limit:3 in
   let r = Mc.Forward.run ~limits model in
@@ -690,6 +704,8 @@ let () =
           Alcotest.test_case "iteration counts" `Quick
             test_counter_iterations;
           Alcotest.test_case "node budget" `Quick test_limits_node_budget;
+          Alcotest.test_case "created-node budget leaves the race room"
+            `Quick test_created_budget_leaves_race_room;
           Alcotest.test_case "node counts ignore GC settings" `Quick
             test_node_counts_ignore_gc_settings;
           Alcotest.test_case "report formatting" `Quick test_report_strings;
