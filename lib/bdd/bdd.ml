@@ -27,7 +27,8 @@ let is_false (h : t) = Repr.is_false h.edge
 let is_const (h : t) = Repr.is_const h.edge
 let equal (a : t) (b : t) = a.edge = b.edge
 let tag (h : t) = h.edge
-let level (h : t) = Repr.level h.store h.edge
+let level (h : t) =
+  if Repr.is_const h.edge then max_int else Repr.level h.store h.edge
 let compare (a : t) (b : t) = Int.compare a.edge b.edge
 let hash = tag
 
@@ -137,6 +138,7 @@ let peak_live_nodes (man : man) = man.Man.peak_live
 let cache_stats = Man.cache_stats
 let computed_table_stats = Man.computed_table_stats
 let unique_table_stats = Man.unique_table_stats
+let node_store_stats = Man.node_store_stats
 let gc_events = Man.gc_events
 let clear_caches = Man.clear_caches
 let gc = Man.gc
@@ -211,6 +213,17 @@ module Computed_table = struct
   let slots = Computed.slots
   let occupied = Computed.occupied
   let stats = Computed.stats
+end
+
+module Walk_stamp = struct
+  let max = Repr.max_stamp
+  let current man = man.Man.store.Repr.stamp
+
+  let advance man s =
+    let st = man.Man.store in
+    if s < st.Repr.stamp || s > max then
+      invalid_arg "Bdd.Walk_stamp.advance: stamp outside [current, max]";
+    st.Repr.stamp <- s
 end
 
 let cubes (h : t) = Cubes.cubes h.store h.edge

@@ -15,11 +15,12 @@
     All operations are memoised per manager.  The package is not
     thread-safe; use one manager per thread.
 
-    Nodes are not OCaml values: a manager keeps them as int triples in
-    segmented int arrays that the OCaml GC never scans.  A {!t} is a small
-    immutable handle on one of them.  The manager roots every handle it
-    returns, weakly, so the handles the program can still reach decide
-    what {!gc} keeps; nothing is ever freed inside an operation. *)
+    Nodes are not OCaml values: a manager keeps each as two words, 16
+    bytes, in segmented int arrays that the OCaml GC never scans, and
+    holds at most 2^30 of them.  A {!t} is a small immutable handle on
+    one of them.  The manager roots every handle it returns, weakly, so
+    the handles the program can still reach decide what {!gc} keeps;
+    nothing is ever freed inside an operation. *)
 
 type t
 (** A BDD: an immutable handle naming one edge (node and complement
@@ -236,22 +237,32 @@ val check_invariants : man -> unit
 (** Check the node store and unique table: every THEN edge is regular,
     no node has equal children, levels grow downward, no triple is
     interned twice, every unique-table slot carries its node's hash
-    bits, every interned node sits in exactly one slot, the free list
-    holds exactly the free nodes, and {!live_nodes} counts the interned
-    nodes.  Raises [Failure] naming the first violation.  Linear in the
-    nodes and slots; for tests. *)
+    bits, every interned node sits in exactly one slot, the table is at
+    most 3/4 full, the free list holds exactly the free nodes and each
+    is encoded as a free node, no node carries a walk stamp past the
+    store's counter, and {!live_nodes} counts the interned nodes.
+    Raises [Failure] naming the first violation.  Linear in the nodes
+    and slots; for tests. *)
 
 val computed_table_stats : man -> (string * int) list
 (** Shared computed-table counters: [slots] (current capacity; 4 words
-    each), [occupied], [evictions] (stores that displaced a different
-    entry), [resizes] (doublings), [trims] (generation bumps from
-    {!clear_caches} and budget trims). *)
+    each), [bytes] (the table's size, 32 per slot), [occupied],
+    [evictions] (stores that displaced a different entry), [resizes]
+    (doublings), [trims] (generation bumps from {!clear_caches} and
+    budget trims). *)
 
 val unique_table_stats : man -> (string * int) list
 (** Unique-table counters: [slots] (current capacity; one word each),
-    [live] (as {!live_nodes}), [resizes] (doublings under growth; the
-    node store grows separately, by segments, and is not counted) and
-    [sweeps] ({!gc} passes). *)
+    [bytes] (the table's size, 8 per slot), [live] (as {!live_nodes}),
+    [resizes] (doublings under growth, once more than 3/4 of the slots
+    are used; the node store grows separately, by segments, and is not
+    counted) and [sweeps] ({!gc} passes, each of which leaves the table
+    at most half full). *)
+
+val node_store_stats : man -> (string * int) list
+(** Node-store counters: [capacity] (nodes the store holds room for,
+    interned or free) and [bytes] (its size, 16 per node).  The store
+    grows and never shrinks; {!gc} makes room in it for reuse. *)
 
 val progress_period : int
 (** 65536: the progress hook runs once per this many node creations and
@@ -402,6 +413,25 @@ module Computed_table : sig
   val slots : table -> int
   val occupied : table -> int
   val stats : table -> (string * int) list
+end
+
+(** The counter behind the walks ({!size}, {!support}, {!gc}'s mark):
+    each walk takes the next stamp and marks the nodes it visits with
+    it, in a 30-bit field of the node.  After stamp {!Walk_stamp.max}
+    the next walk clears every node's stamp once and starts again at 1.
+    Exposed so unit tests can cross that wrap without running 2^30
+    walks; verification code should never need this. *)
+module Walk_stamp : sig
+  val max : int
+  (** 2^30 - 1, the last stamp before the wrap. *)
+
+  val current : man -> int
+  (** The stamp of the manager's latest walk; 0 before the first. *)
+
+  val advance : man -> int -> unit
+  (** [advance man s] sets the counter to [s], as if the walks in
+      between had run.  Raises [Invalid_argument] unless
+      [current man <= s <= max]. *)
 end
 
 (** {1 Debugging} *)

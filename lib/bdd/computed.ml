@@ -37,7 +37,7 @@ let op_vcompose = 8
 
 (* The tag word: [generation lsl gen_shift lor c lsl ops_bits lor op].
    The third operand [c] must lie in [0, 2^32): the kernel passes an
-   edge (nodes stay below 2^31) or 0.  The word stays non-negative, so
+   edge (nodes stay below 2^30) or 0.  The word stays non-negative, so
    it never equals the empty slot's [-1]. *)
 let ops_bits = 5 (* up to 32 distinct operator tags *)
 let ops_mask = (1 lsl ops_bits) - 1
@@ -185,6 +185,7 @@ let clear t =
 let stats t =
   [
     ("slots", t.mask + 1);
+    ("bytes", 8 * Array.length t.data);
     ("occupied", t.occupied);
     ("evictions", t.evictions);
     ("resizes", t.resizes);

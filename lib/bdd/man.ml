@@ -189,6 +189,7 @@ let cache_stats man =
 
 let computed_table_stats man = Computed.stats man.computed
 let unique_table_stats man = Unique.stats man.store
+let node_store_stats man = Unique.node_stats man.store
 
 exception Node_budget_exhausted
 
@@ -236,6 +237,7 @@ let mk man lvl ~low ~high =
    of variables, so per-variable reallocation would be quadratic). *)
 let new_var ?name man =
   let lvl = man.nvars in
+  if lvl >= Repr.terminal_level then failwith "Bdd: too many variables";
   man.nvars <- man.nvars + 1;
   let label = match name with Some s -> s | None -> Printf.sprintf "v%d" lvl in
   if man.nvars > Array.length man.names then begin

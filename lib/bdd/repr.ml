@@ -8,11 +8,13 @@
    which the verification algorithms built on top rely on.
 
    No node is an OCaml heap object.  A node is an index into the node
-   store, a directory of [int array] segments of (level, low, high)
-   triples, and an edge is the int [node lsl 1 lor neg].  Node 0 is the
-   terminal, so the edge 0 is TRUE and the edge 1 is FALSE.  The kernel
-   computes on edges alone: an operation step allocates nothing, stores
-   no pointer and needs no write barrier.
+   store, a directory of [int array] segments of two words per node,
+   and an edge is the int [node lsl 1 lor neg].  Word 0 of a node is
+   [level lsl 32 lor low] and word 1 is [stamp lsl 32 lor high]: the
+   level and the two child edges, plus the mark a walk leaves, in 16
+   bytes.  Node 0 is the terminal, so the edge 0 is TRUE and the edge 1
+   is FALSE.  The kernel computes on edges alone: an operation step
+   allocates nothing, stores no pointer and needs no write barrier.
 
    The public [Bdd.t] is a handle [{edge; store}] built only at the
    facade.  Every handle that names an internal node is recorded in the
@@ -24,14 +26,11 @@ type t = { edge : int; store : store }
 
 and store = {
   mutable segs : int array array;
-      (* the node store: node [n] is the 3 words (level, low edge, high
-         edge) at [3 * (n land seg_mask)] of segment [n lsr seg_bits].
-         The terminal's level is [terminal_level]; a free node's level
-         is [free_level] and its low word links the free list. *)
-  mutable stamp_segs : int array array;
-      (* one word per node, segmented like [segs]: a walk marks a node
-         visited by writing the current [stamp], so walks never clear
-         anything *)
+      (* the node store: node [n] is the 2 words at [2 * (n land
+         seg_mask)] of segment [n lsr seg_bits], [level lsl 32 lor low]
+         then [stamp lsl 32 lor high].  The terminal's level is
+         [terminal_level]; a free node's level is [free_level] and its
+         low field links the free list. *)
   mutable capacity : int; (* nodes the segments hold *)
   mutable next : int; (* first node index never handed out *)
   mutable free : int; (* head of the free list; 0 = empty *)
@@ -44,17 +43,28 @@ and store = {
   mutable resizes : int;
   mutable sweeps : int;
   mutable stamp : int;
+      (* the current walk's stamp: a walk marks a node visited by writing
+         it into the node's stamp field, so walks never clear anything *)
   mutable handles : t Weak.t; (* the registry of rooted handles *)
   mutable handle_count : int; (* registry slots in use *)
 }
 
-let terminal_level = max_int
+(* A node word holds a child edge in its low 32 bits and the level or
+   the stamp in the 31 bits above, read with [asr] for the level (so
+   [free_level] reads back) and [lsr] for the stamp.  Nodes, levels and
+   stamps stay below 2^30: the edges then fit their field, and a
+   unique-table slot, [node lsl 32] above 32 hash bits, stays
+   positive. *)
+let field_bits = 32
+let field_mask = (1 lsl field_bits) - 1
+let terminal_level = (1 lsl 30) - 1
 let free_level = -1
+let max_nodes = 1 lsl 30
+let max_stamp = (1 lsl 30) - 1
 
-(* A segment holds 2^16 nodes: 1.5 MB of triples and 0.5 MB of stamps.
-   Segment 0 starts smaller and doubles until it is full, so a small
-   manager stays small; after that the store grows by whole segments,
-   and growing never moves a node. *)
+(* A segment holds 2^16 nodes, 1 MB.  Segment 0 starts smaller and
+   doubles until it is full, so a small manager stays small; after that
+   the store grows by whole segments, and growing never moves a node. *)
 let seg_bits = 16
 let seg_nodes = 1 lsl seg_bits
 let seg_mask = seg_nodes - 1
@@ -88,17 +98,23 @@ let[@inline] neg e = e lxor 1
 let[@inline] node e = e lsr 1
 let of_bool b = if b then tru else fls
 
-(* The segment holding node [n], and the offset of its triple there.
-   Every node the kernel handles is interned in this store (the facade
-   rejects handles of another store), so the reads need no bounds
-   check. *)
+(* The segment holding node [n], and the offset of its first word
+   there.  Every node the kernel handles is interned in this store (the
+   facade rejects handles of another store), so the reads need no
+   bounds check. *)
 let[@inline] seg st n = Array.unsafe_get st.segs (n lsr seg_bits)
-let[@inline] base n = 3 * (n land seg_mask)
+let[@inline] base n = 2 * (n land seg_mask)
+
+(* A node's first word. *)
+let[@inline] pack lvl lo = (lvl lsl field_bits) lor lo
 
 (* Node fields, by node index. *)
-let[@inline] node_level st n = Array.unsafe_get (seg st n) (base n)
-let[@inline] node_low st n = Array.unsafe_get (seg st n) (base n + 1)
-let[@inline] node_high st n = Array.unsafe_get (seg st n) (base n + 2)
+let[@inline] node_level st n =
+  Array.unsafe_get (seg st n) (base n) asr field_bits
+let[@inline] node_low st n =
+  Array.unsafe_get (seg st n) (base n) land field_mask
+let[@inline] node_high st n =
+  Array.unsafe_get (seg st n) (base n + 1) land field_mask
 
 (* Node fields, by edge. *)
 let[@inline] level st e = node_level st (e lsr 1)
@@ -110,18 +126,26 @@ let[@inline] high st e = node_high st (e lsr 1) lxor (e land 1)
 let[@inline] cof0 st e v = if level st e = v then low st e else e
 let[@inline] cof1 st e v = if level st e = v then high st e else e
 
-(* Start a walk: afterwards [stamp_of st n = stamp] means "visited". *)
-let new_stamp st =
-  st.stamp <- st.stamp + 1;
-  st.stamp
-
 let[@inline] stamp_of st n =
-  Array.unsafe_get (Array.unsafe_get st.stamp_segs (n lsr seg_bits)) (n land seg_mask)
+  Array.unsafe_get (seg st n) (base n + 1) lsr field_bits
 
 let[@inline] set_stamp st n s =
-  Array.unsafe_set
-    (Array.unsafe_get st.stamp_segs (n lsr seg_bits))
-    (n land seg_mask) s
+  let sg = seg st n and b = base n + 1 in
+  Array.unsafe_set sg b
+    ((s lsl field_bits) lor (Array.unsafe_get sg b land field_mask))
+
+(* Start a walk: afterwards [stamp_of st n = stamp] means "visited".
+   When the counter has used its 30 bits, every stamp is cleared once
+   and the count starts again. *)
+let new_stamp st =
+  if st.stamp = max_stamp then begin
+    for n = 0 to st.next - 1 do
+      set_stamp st n 0
+    done;
+    st.stamp <- 0
+  end;
+  st.stamp <- st.stamp + 1;
+  st.stamp
 
 (* --- handles ----------------------------------------------------------- *)
 

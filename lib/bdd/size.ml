@@ -5,7 +5,7 @@
    shared nodes a single time -- this is the BDDSize(Xi, Xj) of the
    paper's evaluation heuristic (Figure 1), where node sharing between
    conjuncts must be taken into account.  Walks mark visited nodes in
-   the store's stamp array, so they allocate nothing per node. *)
+   a stamp field of each node, so they allocate nothing per node. *)
 
 open Repr
 

@@ -1,22 +1,28 @@
 (* The node store and its unique table.
 
-   Nodes live in a directory of segments of (level, low, high) triples
-   ([Repr.seg_bits]): segment 0 doubles until it holds 2^16 nodes, then
-   the store grows by a whole segment at a time, so growing never copies
-   a node.  The unique table is an open-addressed [int array] with
-   linear probing; a slot holds a node index and the low 32 bits of
-   the node's hash (0 = empty).  A probe compares the three words of a
-   candidate node only when those bits match, and since the bits
-   include every bit a slot index uses, a resize or a rebuild places
-   each entry from its own word without reading the node store.  The
-   table holds no pointer.
+   Nodes live in a directory of segments of two words per node
+   ([Repr.seg_bits], [Repr.pack]): segment 0 doubles until it holds
+   2^16 nodes, then the store grows by a whole segment at a time, so
+   growing never copies a node.  The unique table is an open-addressed
+   [int array] with linear probing; a slot holds a node index and the
+   low 32 bits of the node's hash (0 = empty).  A probe reads a
+   candidate node only when those bits match, so the table fills to
+   3/4 before it doubles: a longer probe run costs sequential slot
+   reads, rarely a node.  Since the bits include every bit a slot index
+   uses, a resize or a rebuild places each entry from its own word
+   without reading the node store.  The table holds no pointer.
+
+   Hash-consing compares a node's level and children only: its first
+   word whole and the low 32 bits of its second, never the stamp a walk
+   left there.
 
    Nothing leaves the table inside an operation.  [collect] (driven by
    [Bdd.gc]) is the only place nodes are freed: it marks every node
    reachable from the given roots, threads the rest onto a free list
-   that later insertions reuse, and keeps only the survivors' entries.
-   Between collections [live] counts every node interned since the last
-   one; right after a collection it is exact. *)
+   that later insertions reuse, and keeps only the survivors' entries,
+   in a table at most half full.  Between collections [live] counts
+   every node interned since the last one; right after a collection it
+   is exact. *)
 
 open Repr
 
@@ -24,12 +30,11 @@ let initial_buckets = 1 lsl 14
 let initial_nodes = 1 lsl 12
 
 let create () =
-  let seg0 = ints (3 * initial_nodes) 0 in
+  let seg0 = ints (2 * initial_nodes) 0 in
   (* the terminal: node 0, below every variable *)
-  seg0.(0) <- terminal_level;
+  seg0.(0) <- pack terminal_level 0;
   {
     segs = [| seg0 |];
-    stamp_segs = [| ints initial_nodes 0 |];
     capacity = initial_nodes;
     next = 1;
     free = 0;
@@ -43,10 +48,15 @@ let create () =
     handle_count = 0;
   }
 
+(* The slot index is the hash's low bits, so every input bit must reach
+   them: the last multiply and the fold of its high half do that for
+   [hi], which would otherwise pass into the index almost unmixed and,
+   at 3/4 load, cluster the table into probe runs averaging 18 slots on
+   abp-8 XICI. *)
 let[@inline] hash lvl lo hi =
   let h = (lvl * 0x9e3779b1) lxor lo in
-  let h = (h * 0x85ebca6b) lxor hi in
-  h lxor (h lsr 16)
+  let h = ((h * 0x85ebca6b) lxor hi) * 0xc2b2ae35 in
+  h lxor (h lsr 32)
 
 (* A bucket holds [node lsl 32 lor hash_bits h]: a probe dereferences a
    candidate node only when those bits match.  A table never has more
@@ -77,12 +87,11 @@ let rehash st cap ~only =
   st.mask <- mask;
   release (Array.length old)
 
-(* Does node [n] hold the triple (lvl, lo, hi)? *)
-let[@inline] is st n lvl lo hi =
+(* Does node [n] hold the triple (lvl, lo, hi)?  [w0] is [pack lvl
+   lo]; the stamp above [hi] is ignored. *)
+let[@inline] is st n w0 hi =
   let s = seg st n and b = base n in
-  Array.unsafe_get s b = lvl
-  && Array.unsafe_get s (b + 1) = lo
-  && Array.unsafe_get s (b + 2) = hi
+  Array.unsafe_get s b = w0 && Array.unsafe_get s (b + 1) land field_mask = hi
 
 (* The node (level, lo, hi), or [lnot slot] for the empty slot where it
    belongs.  [hi] is a regular edge. *)
@@ -91,38 +100,34 @@ let find st lvl lo hi =
   (* a loop, not a local recursive function: that would allocate a
      closure on every call *)
   let h = hash_bits (hash lvl lo hi) in
+  let w0 = pack lvl lo in
   let i = ref (h land mask) in
   let result = ref 0 in
   while !result = 0 do
     let w = Array.unsafe_get buckets !i in
     if w = 0 then result := lnot !i
-    else if w land hash_mask = h && is st (w lsr 32) lvl lo hi then
+    else if w land hash_mask = h && is st (w lsr 32) w0 hi then
       result := w lsr 32
     else i := (!i + 1) land mask
   done;
   !result
 
 (* Room for more nodes: double segment 0 while it is not full, else add
-   a segment.  Either way the stamps grow alike.  Nodes must stay below
-   2^31 for a bucket word (and a computed-table key) to hold them. *)
+   a segment. *)
 let grow_nodes st =
   let cap = st.capacity in
   if cap < seg_nodes then begin
-    let copy old words =
-      let grown = ints (2 * words) 0 in
-      for i = 0 to words - 1 do
-        Array.unsafe_set grown i (Array.unsafe_get old i)
-      done;
-      grown
-    in
-    st.segs.(0) <- copy st.segs.(0) (3 * cap);
-    st.stamp_segs.(0) <- copy st.stamp_segs.(0) cap;
+    let old = st.segs.(0) in
+    let grown = ints (4 * cap) 0 in
+    for i = 0 to (2 * cap) - 1 do
+      Array.unsafe_set grown i (Array.unsafe_get old i)
+    done;
+    st.segs.(0) <- grown;
     st.capacity <- 2 * cap
   end
   else begin
-    if cap >= 1 lsl 31 then failwith "Bdd: node store full";
-    st.segs <- Array.append st.segs [| ints (3 * seg_nodes) 0 |];
-    st.stamp_segs <- Array.append st.stamp_segs [| ints seg_nodes 0 |];
+    if cap >= max_nodes then failwith "Bdd: node store full";
+    st.segs <- Array.append st.segs [| ints (2 * seg_nodes) 0 |];
     st.capacity <- cap + seg_nodes
   end
 
@@ -142,14 +147,15 @@ let add st slot lvl lo hi =
       n
     end
   in
+  (* a new node's stamp is 0, below every walk's *)
   let s = seg st n and b = base n in
-  s.(b) <- lvl;
-  s.(b + 1) <- lo;
-  s.(b + 2) <- hi;
+  s.(b) <- pack lvl lo;
+  s.(b + 1) <- hi;
   st.buckets.(slot) <- entry n (hash lvl lo hi);
   st.live <- st.live + 1;
-  (* keep the load at most 1/2, so a miss stops within a few probes *)
-  if 2 * st.live > st.mask + 1 then begin
+  (* keep the load at most 3/4: a miss stops at the first empty slot,
+     and the hash bits spare it every node read on the way *)
+  if 4 * st.live > 3 * (st.mask + 1) then begin
     st.resizes <- st.resizes + 1;
     rehash st (2 * (st.mask + 1)) ~only:0
   end;
@@ -174,11 +180,10 @@ let collect st iter_roots =
   st.free <- 0;
   st.live <- 0;
   for n = st.next - 1 downto 1 do
-    let sg = seg st n and b = base n in
-    if sg.(b) = free_level || stamp_of st n <> s then begin
-      sg.(b) <- free_level;
-      sg.(b + 1) <- st.free;
-      sg.(b + 2) <- 0;
+    if node_level st n = free_level || stamp_of st n <> s then begin
+      let sg = seg st n and b = base n in
+      sg.(b) <- pack free_level st.free;
+      sg.(b + 1) <- 0;
       st.free <- n
     end
     else st.live <- st.live + 1
@@ -195,6 +200,11 @@ let collect st iter_roots =
 let check st =
   let fail fmt = Printf.ksprintf failwith ("Bdd.check_invariants: " ^^ fmt) in
   let interned n = n > 0 && n < st.next && node_level st n <> free_level in
+  (* a walk's stamp is new only if no node carries it yet *)
+  for n = 0 to st.next - 1 do
+    if stamp_of st n > st.stamp then
+      fail "node %d: stamp %d is past the counter %d" n (stamp_of st n) st.stamp
+  done;
   (* each slot names an interned node, carries its hash bits, and no
      node is in two slots *)
   let s = new_stamp st in
@@ -212,11 +222,17 @@ let check st =
       set_stamp st n s
     end
   done;
-  if 2 * !used > st.mask + 1 then fail "table more than half full";
+  if 4 * !used > 3 * (st.mask + 1) then fail "table more than 3/4 full";
   let nonfree = ref 0 in
   for n = 1 to st.next - 1 do
     let lvl = node_level st n in
-    if lvl <> free_level then begin
+    if lvl = free_level then begin
+      (* the low field links the free list (checked below); the rest of
+         the node is zero *)
+      let w1 = Array.unsafe_get (seg st n) (base n + 1) in
+      if w1 <> 0 then fail "free node %d: second word is %d, not 0" n w1
+    end
+    else begin
       incr nonfree;
       let lo = node_low st n and hi = node_high st n in
       if hi land 1 <> 0 then fail "node %d: THEN edge complemented" n;
@@ -250,7 +266,14 @@ let check st =
 let stats st =
   [
     ("slots", st.mask + 1);
+    ("bytes", 8 * (st.mask + 1));
     ("live", st.live);
     ("resizes", st.resizes);
     ("sweeps", st.sweeps);
+  ]
+
+let node_stats st =
+  [
+    ("capacity", st.capacity);
+    ("bytes", Array.fold_left (fun b sg -> b + 8 * Array.length sg) 0 st.segs);
   ]

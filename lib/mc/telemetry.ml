@@ -20,6 +20,9 @@ let publish man =
   List.iter
     (fun (name, v) -> g (Printf.sprintf "bdd.unique.%s" name) v)
     (Bdd.unique_table_stats man);
+  List.iter
+    (fun (name, v) -> g (Printf.sprintf "bdd.nodes.%s" name) v)
+    (Bdd.node_store_stats man);
   g "bdd.gc_events" (Bdd.gc_events man);
   g "bdd.nodes_created" (Bdd.created_nodes man);
   g "bdd.live_nodes" (Bdd.live_nodes man);

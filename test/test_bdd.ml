@@ -649,7 +649,79 @@ let test_unique_table_counters () =
   Alcotest.(check int) "stats agree with live_nodes" exact
     (List.assoc "live" (Bdd.unique_table_stats man));
   Alcotest.(check bool) "sweeps counted" true
-    (List.assoc "sweeps" (Bdd.unique_table_stats man) >= 1)
+    (List.assoc "sweeps" (Bdd.unique_table_stats man) >= 1);
+  (* each structure's bytes follow from its size alone *)
+  let stat tbl name = List.assoc name tbl in
+  let unique = Bdd.unique_table_stats man
+  and computed = Bdd.computed_table_stats man
+  and nodes = Bdd.node_store_stats man in
+  Alcotest.(check int) "unique bytes" (8 * stat unique "slots")
+    (stat unique "bytes");
+  Alcotest.(check int) "computed bytes" (32 * stat computed "slots")
+    (stat computed "bytes");
+  Alcotest.(check int) "node store bytes" (16 * stat nodes "capacity")
+    (stat nodes "bytes");
+  Alcotest.(check bool) "node store holds the live nodes" true
+    (stat nodes "capacity" > exact)
+
+(* A walk marks the nodes it visits in their second word, next to the
+   THEN edge.  Building the same function again after walks must find
+   every node as it was: the mark must not take part in hash-consing. *)
+let test_walk_leaves_hashcons () =
+  let man, vars = Testutil.fresh_man 8 in
+  let build () =
+    let v i = Bdd.var man vars.(i) in
+    List.fold_left
+      (fun acc i -> Bdd.bxor man acc (Bdd.band man (v i) (v ((i + 3) mod 8))))
+      (Bdd.fls man) (List.init 8 Fun.id)
+  in
+  let f = build () in
+  let made = Bdd.created_nodes man in
+  let size = Bdd.size f and support = Bdd.support f in
+  Alcotest.(check (list int)) "support" (Array.to_list vars) support;
+  (* the memo cache would answer the rebuild without a lookup *)
+  Bdd.clear_caches man;
+  let g = build () in
+  Alcotest.(check int) "same tag" (Bdd.tag f) (Bdd.tag g);
+  Alcotest.(check int) "no node created again" made (Bdd.created_nodes man);
+  Alcotest.(check int) "same size" size (Bdd.size g);
+  Bdd.check_invariants man
+
+(* The walk stamp has 30 bits; the walk after the last one clears every
+   node's stamp and starts again.  [g]'s nodes are stamped with the
+   last stamp before the wrap, so if the wrap left them stamped, the
+   next walk to reach that stamp again would skip them. *)
+let test_walk_stamp_wrap () =
+  let man, vars = Testutil.fresh_man 6 in
+  let v i = Bdd.var man vars.(i) in
+  let f = Bdd.bor man (Bdd.band man (v 0) (v 1)) (v 2) in
+  let g = Bdd.bxor man (v 3) (Bdd.bxor man (v 4) (v 5)) in
+  let sf = Bdd.size f and sg = Bdd.size g in
+  Alcotest.(check (pair int int)) "sizes" (4, 4) (sf, sg);
+  Alcotest.check_raises "no stepping back"
+    (Invalid_argument "Bdd.Walk_stamp.advance: stamp outside [current, max]")
+    (fun () -> Bdd.Walk_stamp.advance man 0);
+  Bdd.Walk_stamp.advance man (Bdd.Walk_stamp.max - 1);
+  Alcotest.(check int) "size g at the last stamp" sg (Bdd.size g);
+  Alcotest.(check int) "at the last stamp" Bdd.Walk_stamp.max
+    (Bdd.Walk_stamp.current man);
+  Alcotest.(check int) "size f across the wrap" sf (Bdd.size f);
+  Alcotest.(check int) "the counter starts again" 1
+    (Bdd.Walk_stamp.current man);
+  Bdd.Walk_stamp.advance man (Bdd.Walk_stamp.max - 1);
+  Alcotest.(check int) "size g at the last stamp again" sg (Bdd.size g);
+  Alcotest.(check (list int)) "support after the wrap"
+    [ vars.(3); vars.(4); vars.(5) ] (Bdd.support g);
+  Alcotest.(check int) "shared size after the wrap" (sf + sg - 1)
+    (Bdd.size_list [ f; g ]);
+  Bdd.check_invariants man;
+  Bdd.gc man;
+  Alcotest.(check int) "gc's mark keeps both" (sf + sg - 2)
+    (Bdd.live_nodes man);
+  Bdd.check_invariants man;
+  (* still held, so the collection above had to keep them *)
+  Alcotest.(check (pair int int)) "sizes after gc" (sf, sg)
+    (Bdd.size f, Bdd.size g)
 
 let test_reorder_interleaves () =
   (* Equality of two 4-bit words declared far apart costs ~2^w nodes;
@@ -1115,12 +1187,16 @@ let test_rooting =
    register carries its function's values on a fixed sample of
    assignments, computed from the expressions alone; after every step
    the held handles must still have those values and the store must
-   pass [Bdd.check_invariants]. *)
+   pass [Bdd.check_invariants].  [Walk] takes a register's size and
+   support; after every later step they are taken again and must not
+   have changed while the register holds the same function, whatever
+   was created or collected in between. *)
 type growth_instr =
   | Spread of int * int * Testutil.expr (* dst, stride, window *)
   | Pressure of int
   | Mix of int * int * int * int (* op, dst, a, b *)
   | Release of int
+  | Walk of int
   | Sweep
 
 let growth_vars = 20
@@ -1153,6 +1229,7 @@ let gen_growth_program =
                (fun op d (a, b) -> Mix (op, d, a, b))
                (int_bound 3) reg (pair reg reg) );
            (1, map (fun r -> Release r) reg);
+           (2, map (fun r -> Walk r) reg);
            (2, return Sweep);
          ])
   in
@@ -1170,6 +1247,7 @@ let print_growth_program prog =
          | Pressure r -> Printf.sprintf "r%d := pressure" r
          | Mix (op, d, a, b) -> Printf.sprintf "r%d := op%d r%d r%d" d op a b
          | Release r -> Printf.sprintf "drop r%d" r
+         | Walk r -> Printf.sprintf "walk r%d" r
          | Sweep -> "gc")
        prog)
 
@@ -1182,6 +1260,8 @@ let prop_growth prog =
   let man = Bdd.create ~cache_budget:(1 lsl 16) () in
   let vars = Array.init growth_vars (fun _ -> Bdd.new_var man) in
   let regs = Array.make growth_regs None in
+  (* each register's size and support, once walked *)
+  let walked = Array.make growth_regs None in
   let ok = ref true in
   let fail fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
   let get r =
@@ -1200,12 +1280,16 @@ let prop_growth prog =
             copies)
         growth_samples )
   in
+  let set r held =
+    regs.(r) <- held;
+    walked.(r) <- None
+  in
   let step = function
-    | Spread (r, s, e) -> regs.(r) <- Some (xor_of (spread_copies s e))
+    | Spread (r, s, e) -> set r (Some (xor_of (spread_copies s e)))
     | Pressure r ->
       let kernel = Testutil.(Or (And (V 0, V 1), And (V 2, V 5))) in
-      regs.(r) <-
-        Some (xor_of (List.concat_map (fun s -> spread_copies s kernel) [ 7; 3; 9 ]))
+      set r
+        (Some (xor_of (List.concat_map (fun s -> spread_copies s kernel) [ 7; 3; 9 ])))
     | Mix (op, d, a, b) ->
       let (f, fv), (g, gv) = (get a, get b) in
       let v = (a + (2 * b) + (3 * d)) mod growth_vars in
@@ -1218,9 +1302,12 @@ let prop_growth prog =
           ( Bdd.ite man (Bdd.var man vars.(v)) f g,
             fun env x y -> if env.(v) then x else y )
       in
-      regs.(d) <-
-        Some (h, Array.mapi (fun k env -> pick env fv.(k) gv.(k)) growth_samples)
-    | Release r -> regs.(r) <- None
+      set d
+        (Some (h, Array.mapi (fun k env -> pick env fv.(k) gv.(k)) growth_samples))
+    | Release r -> set r None
+    | Walk r ->
+      let f, _ = get r in
+      walked.(r) <- Some (Bdd.size f, Bdd.support f)
     | Sweep -> Bdd.gc man
   in
   let check () =
@@ -1234,6 +1321,14 @@ let prop_growth prog =
             growth_samples
         | None -> ())
       regs;
+    Array.iteri
+      (fun r -> function
+        | Some w ->
+          let f, _ = get r in
+          if (Bdd.size f, Bdd.support f) <> w then
+            fail "r%d: size or support changed since its walk" r
+        | None -> ())
+      walked;
     try Bdd.check_invariants man with Failure m -> fail "%s" m
   in
   List.iter
@@ -1318,6 +1413,9 @@ let () =
             test_peak_seeded_on_short_runs;
           Alcotest.test_case "unique table counters" `Quick
             test_unique_table_counters;
+          Alcotest.test_case "walks leave hash-consing alone" `Quick
+            test_walk_leaves_hashcons;
+          Alcotest.test_case "walk stamp wrap" `Quick test_walk_stamp_wrap;
         ] );
       ( "properties",
         [
