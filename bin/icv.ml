@@ -10,8 +10,42 @@
 
 open Cmdliner
 
+(* The size flags each family reads; every family reads --bug.  A flag
+   the family does not read is an error rather than silently ignored:
+   [--model abp --depth 8] would otherwise prove abp at its default
+   width. *)
+let family_flags = function
+  | "fifo" -> [ "depth"; "width"; "bound" ]
+  | "network" -> [ "procs" ]
+  | "filter" -> [ "depth"; "width"; "assisted" ]
+  | "cpu" -> [ "regs"; "width"; "assisted" ]
+  | "abp" -> [ "width" ]
+  | other -> failwith (Printf.sprintf "unknown model %S" other)
+
 let build_model name depth width procs regs bound assisted bug =
-  match String.lowercase_ascii name with
+  let family = String.lowercase_ascii name in
+  let reads = family_flags family in
+  List.iter
+    (fun (flag, given) ->
+      if given && not (List.mem flag reads) then
+        failwith
+          (Printf.sprintf "--%s does not apply to --model %s (it reads %s)"
+             flag family
+             (String.concat ", " (List.map (( ^ ) "--") (reads @ [ "bug" ])))))
+    [
+      ("depth", depth <> None);
+      ("width", width <> None);
+      ("procs", procs <> None);
+      ("regs", regs <> None);
+      ("bound", bound <> None);
+      ("assisted", assisted);
+    ];
+  let depth = Option.value depth ~default:5
+  and width = Option.value width ~default:8
+  and procs = Option.value procs ~default:4
+  and regs = Option.value regs ~default:2
+  and bound = Option.value bound ~default:128 in
+  match family with
   | "fifo" ->
     Models.Typed_fifo.make { Models.Typed_fifo.depth; width; bound; bug }
   | "network" -> Models.Network.make { Models.Network.procs; bug }
@@ -20,9 +54,8 @@ let build_model name depth width procs regs bound assisted bug =
       { Models.Avg_filter.depth; sample_width = width; assisted; bug }
   | "cpu" ->
     Models.Pipeline_cpu.make { Models.Pipeline_cpu.regs; width; assisted; bug }
-  | "abp" ->
+  | _ (* abp: [family_flags] refused every other name *) ->
     Models.Abp.make { Models.Abp.width; bug }
-  | other -> failwith (Printf.sprintf "unknown model %S" other)
 
 let print_trace model trace =
   let man = Mc.Model.man model in
@@ -486,21 +519,35 @@ let () =
       & info [ "model" ] ~doc:"Model: fifo, network, filter, cpu or abp.")
   in
   let depth =
-    Arg.(value & opt int 5 & info [ "depth" ] ~doc:"FIFO/filter depth.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "depth" ] ~doc:"FIFO/filter depth (default 5).")
   in
   let width =
     Arg.(
-      value & opt int 8
-      & info [ "width" ] ~doc:"Item/sample/datapath width in bits.")
+      value
+      & opt (some int) None
+      & info [ "width" ]
+          ~doc:"Item/sample/datapath/message width in bits (default 8).")
   in
   let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Network processors.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "procs" ] ~doc:"Network processors (default 4).")
   in
   let regs =
-    Arg.(value & opt int 2 & info [ "regs" ] ~doc:"Processor registers.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "regs" ] ~doc:"Processor registers (default 2).")
   in
   let bound =
-    Arg.(value & opt int 128 & info [ "bound" ] ~doc:"FIFO type bound.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "bound" ] ~doc:"FIFO type bound (default 128).")
   in
   let assisted =
     Arg.(

@@ -94,14 +94,9 @@ let run_checked minutes seed batch targets_spec corpus replay domains out
   | Some spec, _ ->
     let entry = parse_replay spec in
     log (Printf.sprintf "replaying %s" (Fuzz.Corpus.line entry));
-    let failures =
-      if domains >= 2 then run_parallel ~domains ~log [ entry ]
-      else
-        match Fuzz.Driver.run_entry entry with
-        | Ok () -> []
-        | Error f -> [ f ]
-    in
-    finish ~out failures
+    (* One batch runs on one domain whatever --domains says. *)
+    finish ~out
+      (match Fuzz.Driver.run_entry entry with Ok () -> [] | Error f -> [ f ])
   | None, Some path ->
     let entries = Fuzz.Corpus.load path in
     log (Printf.sprintf "replaying %d corpus batch(es) from %s"
@@ -156,11 +151,11 @@ let () =
   in
   let targets =
     Arg.(
-      value & opt string "diff,metamorph,taut,bddops,batch"
+      value & opt string "diff,metamorph,taut,bddops,batch,srv"
       & info [ "targets" ] ~docv:"T1,T2,..."
           ~doc:
             "Comma-separated targets: diff, metamorph, taut, bddops, \
-             tinycache, batch.")
+             tinycache, batch, srv.")
   in
   let corpus =
     Arg.(
@@ -179,8 +174,8 @@ let () =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Replay corpus batches on $(docv) worker domains (corpus and \
-             replay modes; batches are shared-nothing).")
+            "Replay corpus batches on $(docv) worker domains (corpus mode; \
+             batches are shared-nothing, and a --replay is one batch).")
   in
   let out =
     Arg.(

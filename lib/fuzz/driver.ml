@@ -8,9 +8,9 @@
    QCheck2's integrated shrinking: the counterexamples reported for a
    failing batch are already minimal. *)
 
-type target = Diff | Metamorph | Taut | Bddops | Tinycache | Batchfuzz
+type target = Diff | Metamorph | Taut | Bddops | Tinycache | Batchfuzz | Srv
 
-let all_targets = [ Diff; Metamorph; Taut; Bddops; Tinycache; Batchfuzz ]
+let all_targets = [ Diff; Metamorph; Taut; Bddops; Tinycache; Batchfuzz; Srv ]
 
 let target_name = function
   | Diff -> "diff"
@@ -19,6 +19,7 @@ let target_name = function
   | Bddops -> "bddops"
   | Tinycache -> "tinycache"
   | Batchfuzz -> "batch"
+  | Srv -> "srv"
 
 let target_of_string = function
   | "diff" -> Some Diff
@@ -27,6 +28,7 @@ let target_of_string = function
   | "bddops" -> Some Bddops
   | "tinycache" -> Some Tinycache
   | "batch" -> Some Batchfuzz
+  | "srv" -> Some Srv
   | _ -> None
 
 type failure = { entry : Corpus.entry; counterexamples : string list }
@@ -92,6 +94,13 @@ let test_of_target target ~count =
       ~print:(with_diag_result Tautfuzz.print_pair Tautfuzz.check_ops)
       Tautfuzz.gen_pair
       (fun p -> Result.is_ok (Tautfuzz.check_ops p))
+  (* The worker pool's rules under seeded schedules on a simulated
+     clock: no domain, no BDD. *)
+  | Srv ->
+    QCheck2.Test.make ~count ~name
+      ~print:(with_diag_result Srvfuzz.print Srvfuzz.check)
+      Srvfuzz.gen
+      (fun c -> Result.is_ok (Srvfuzz.check c))
 
 let run_batch target ~seed ~count =
   let entry = { Corpus.target = target_name target; seed; count } in

@@ -5,7 +5,7 @@
     the same cases and every failure is replayable from its corpus line.
     Counterexamples are shrunk by QCheck2's integrated shrinking. *)
 
-type target = Diff | Metamorph | Taut | Bddops | Tinycache | Batchfuzz
+type target = Diff | Metamorph | Taut | Bddops | Tinycache | Batchfuzz | Srv
 
 val all_targets : target list
 val target_name : target -> string

@@ -451,7 +451,7 @@ let route_event st (emitted_at, event) =
   | Pool.Requeued (job, reason) ->
     send_to st job.Pool.client
       (Protocol.retry ~id:job.Pool.spec.Jobspec.id
-         ~trace_id:job.Pool.trace_id ~reason ~attempt:job.Pool.attempt)
+         ~trace_id:job.Pool.trace_id ~reason ~attempt:job.Pool.ticket.Sched.attempt)
   | Pool.Finished (job, worker, resumed_at, report) ->
     complete st job ~emitted_at (fun ~queue_s ~e2e_s ->
         Protocol.result ~id:job.Pool.spec.Jobspec.id

@@ -38,6 +38,17 @@ let test_max_created_nodes () =
     true
     (contains ~sub:"EXCEEDED: exceeded 100 BDD nodes" out)
 
+(* A size flag the chosen family does not read is refused with exit 2,
+   not silently ignored; one it reads still configures the run. *)
+let test_unread_flag () =
+  let out, code = run [ "--model"; "abp"; "--depth"; "8" ] in
+  Alcotest.(check int) "abp does not read --depth" 2 code;
+  Alcotest.(check bool) "no verdict printed" false (contains ~sub:"proved" out);
+  let out, code = run [ "--model"; "filter"; "--depth"; "8" ] in
+  Alcotest.(check int) "filter reads --depth" 0 code;
+  Alcotest.(check bool) ("filter-8 proves:\n" ^ out) true
+    (contains ~sub:"avg-filter(depth=8" out && contains ~sub:"proved" out)
+
 let () =
   Alcotest.run "cli"
     [
@@ -45,5 +56,7 @@ let () =
         [
           Alcotest.test_case "--max-created-nodes outside the ladder" `Quick
             test_max_created_nodes;
+          Alcotest.test_case "a flag the model does not read" `Quick
+            test_unread_flag;
         ] );
     ]
