@@ -261,8 +261,10 @@ val unique_table_stats : man -> (string * int) list
 
 val node_store_stats : man -> (string * int) list
 (** Node-store counters: [capacity] (nodes the store holds room for,
-    interned or free) and [bytes] (its size, 16 per node).  The store
-    grows and never shrinks; {!gc} makes room in it for reuse. *)
+    interned or free), [bytes] (its size, 16 per node) and [handles]
+    (slots of the weak registry of rooted handles, which doubles when
+    more than half of it holds handles the GC has not collected).  The
+    store grows and never shrinks; {!gc} makes room in it for reuse. *)
 
 val progress_period : int
 (** 65536: the progress hook runs once per this many node creations and

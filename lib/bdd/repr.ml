@@ -149,9 +149,8 @@ let new_stamp st =
 
 (* --- handles ----------------------------------------------------------- *)
 
-(* Drop the registry entries whose handles the OCaml GC has collected,
-   and double the registry when more than half of it is still in use. *)
-let compact_handles st =
+(* Drop the registry entries whose handles the OCaml GC has collected. *)
+let sweep_handles st =
   let w = st.handles in
   let kept = ref 0 in
   for i = 0 to st.handle_count - 1 do
@@ -161,10 +160,32 @@ let compact_handles st =
     end
   done;
   Weak.fill w !kept (st.handle_count - !kept) None;
-  st.handle_count <- !kept;
-  if 2 * !kept > Weak.length w then begin
-    let grown = Weak.create (2 * Weak.length w) in
-    Weak.blit w 0 grown 0 !kept;
+  st.handle_count <- !kept
+
+(* A registry of this many slots is collected before it doubles. *)
+let collect_handles_at = 1 lsl 14
+
+(* Sweep, and double the registry when more than half of it is still in
+   use.  An entry passes [Weak.check] until the major GC has finished
+   with its dead handle, so on a manager that is reused run after run
+   most entries of a big registry are dead handles that the GC has not
+   reached: a big registry forces a collection and sweeps again before
+   it doubles.  The collection finishes the major cycle in progress and
+   runs one whole cycle, which clears every handle dead before it
+   began; [Gc.full_major] would run a third, at more than twice the
+   pause in a daemon.  A small registry never forces a collection,
+   which would cost a cold run more than the slots it saves. *)
+let compact_handles st =
+  let full () = 2 * st.handle_count > Weak.length st.handles in
+  sweep_handles st;
+  if full () && Weak.length st.handles >= collect_handles_at then begin
+    Gc.major ();
+    Gc.major ();
+    sweep_handles st
+  end;
+  if full () then begin
+    let grown = Weak.create (2 * Weak.length st.handles) in
+    Weak.blit st.handles 0 grown 0 st.handle_count;
     st.handles <- grown
   end
 

@@ -276,4 +276,5 @@ let node_stats st =
   [
     ("capacity", st.capacity);
     ("bytes", Array.fold_left (fun b sg -> b + 8 * Array.length sg) 0 st.segs);
+    ("handles", Weak.length st.handles);
   ]

@@ -130,19 +130,31 @@ let check_outcome sim task outcome =
     if not (Queue.fold (fun ok j -> ok || j = task.job) false sim.urgent) then
       broken "job %d retried but not on the urgent lane" task.job
 
+(* The live counts of a worker's warm managers, most recent first. *)
 let retained sim choice =
-  match sim.case.cap with
-  | Some cap -> choice * 7919 mod (cap + 1)
-  | None -> choice * 7919 mod 1000
+  let bound = match sim.case.cap with Some cap -> cap + 1 | None -> 1000 in
+  List.init (1 + (choice mod 3)) (fun k -> (choice + (31 * k)) * 7919 mod bound)
 
 (* The execution returns: resolve it, then the worker goes idle with
-   its retained count in place of the job's last one. *)
+   the count of the warm managers it keeps in place of the job's last
+   one.  It keeps the most recent ones that leave the pool at pressure
+   0, and no fewer. *)
 let complete sim w task ~decided ~choice =
   check_outcome sim task
     (S.settle sim.sched w.st task.job ~attempt:task.attempt ~decided);
   w.task <- None;
-  w.live <- retained sim choice;
-  if not (S.idle sim.sched w.st ~live:(live sim)) then w.live <- 0
+  w.live <- 0;
+  let others = live sim and warm = retained sim choice in
+  let n = S.idle sim.sched w.st ~live:others warm in
+  let kept = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < n) warm) in
+  let p = S.pressure sim.sched ~live:(others + kept) in
+  if n > 0 && p > 0 then
+    broken "worker kept %d warm managers at pressure %d" n p;
+  (match List.nth_opt warm n with
+  | Some l when S.pressure sim.sched ~live:(others + kept + l) = 0 ->
+    broken "worker dropped warm manager %d that fits at pressure 0" n
+  | _ -> ());
+  w.live <- kept
 
 let pop sim =
   if not (Queue.is_empty sim.urgent) then Some (Queue.pop sim.urgent)

@@ -47,7 +47,10 @@ type handles = {
 let make_full p =
   let k = p.depth and w = p.sample_width in
   let levels = log2 k in
-  assert (k = 1 lsl levels && levels >= 1);
+  if k <> 1 lsl levels || levels < 1 then
+    invalid_arg
+      (Printf.sprintf "the filter's depth must be a power of two (>= 2), not %d"
+         k);
   let sum_width = w + levels in
   let sp = Fsm.Space.create ~cache_budget:8_000_000 () in
   (* Input sample at the top of the order, then one interleaved

@@ -13,8 +13,9 @@ val default : params
 val name : params -> string
 
 val make : params -> Mc.Model.t
-(** [depth] must be a power of two (>= 2).  [bug] makes the first
-    layer-1 adder double its first operand, planting a violation. *)
+(** [depth] must be a power of two (>= 2), else [Invalid_argument].
+    [bug] makes the first layer-1 adder double its first operand,
+    planting a violation. *)
 
 type handles = {
   window : Fsm.Space.word array;

@@ -7,19 +7,12 @@
     once, so bouncing them on a full queue would turn a worker fault
     into a lost job.  It is popped first and bypasses the cap; its
     size is bounded by the number of in-flight jobs, which the cap
-    already bounded.
-
-    A consumer may state a preference ({!pop}'s [prefer]); the normal
-    lane then serves the first preferred entry near its head instead of
-    the head itself, but never lets any entry be overtaken more than
-    [max_passes] times. *)
+    already bounded.  Both lanes are FIFO. *)
 
 type 'a t
 
-val create : max_passes:int -> capacity:int -> unit -> 'a t
-(** [capacity] is clamped to at least 1.  [max_passes] is how many
-    times a normal-lane entry may be overtaken by a preferred entry
-    behind it; 0 makes {!pop} strictly FIFO. *)
+val create : capacity:int -> unit -> 'a t
+(** [capacity] is clamped to at least 1. *)
 
 val try_push : 'a t -> 'a -> (int, string) result
 (** Enqueue on the normal lane.  [Ok depth] with the resulting total
@@ -28,13 +21,10 @@ val try_push : 'a t -> 'a -> (int, string) result
 val push_urgent : 'a t -> 'a -> unit
 (** Enqueue on the urgent lane (no-op after {!close}). *)
 
-val pop : ?prefer:('a -> bool) -> 'a t -> 'a option
+val pop : 'a t -> 'a option
 (** Block until an element is available (urgent lane first) or the
     queue is closed and drained, then [None] — the consumer's signal
-    to exit.  With [prefer], the normal lane yields the first entry
-    satisfying it among its first 8, unless that would overtake an
-    entry already overtaken [max_passes] times; otherwise its head.
-    The urgent lane ignores [prefer]. *)
+    to exit. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake all blocked consumers. *)

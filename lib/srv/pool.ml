@@ -22,7 +22,7 @@ type job = {
   submitted_at : float;
   deadline_at : float option;
   checkpoint_path : string option;
-  model_key : string;  (* the worker's affinity test, see [worker_loop] *)
+  model_key : string;  (* the key of the workers' warm tables, see [thaw] *)
   mutable dispatched_at : float;
       (* written by the dispatching worker, read by the daemon after the
          terminal event — never concurrently *)
@@ -59,14 +59,15 @@ type slot = {
   mutable domain : unit Domain.t option;
   hb : float Atomic.t;  (* monotonic time of last sign of life *)
   live : int Atomic.t;
-      (* while busy, live BDD nodes of the running job's manager; while
-         idle, those of its retained scratch (reset by [worker_loop]) *)
+      (* live BDD nodes of the slot's warm managers, and while busy of
+         the running job's (reset by [worker_loop] after each job) *)
   fl_beat : float Atomic.t;
       (* last time a heartbeat was recorded into the flight ring --
          heartbeats fire per kernel progress step, far too often to
          record raw, so they are throttled to ~4/s per slot *)
-  mutable scratch : (string * Mc.Model.t) option;
-      (* last thawed model, keyed by [Jobspec.model_key] (see [thaw]).
+  mutable warm : (string * Mc.Model.t) list;
+      (* the warm table: models this worker has run, keyed by
+         [Jobspec.model_key], most recently used first (see [thaw]).
          Worker-domain private -- the supervisor only sees its live
          count, and it dies with the slot. *)
 }
@@ -336,46 +337,62 @@ let limits_for t (job : job) ~remaining ~pressure man =
       (Sched.live_budget t.sched ~pressure job.spec.Jobspec.max_live_nodes)
     ?max_seconds:remaining ~max_iterations:200 man
 
-(* The thaw phase.  Scratch-manager reuse: consecutive jobs on the same
-   declaration skip the thaw and keep the previous job's unique/computed
-   tables warm.  Only at pressure 0 -- under pressure the scratch is
-   dropped so a retained manager cannot hold node capacity hostage.
-   Per-job state cannot leak through the reused manager or model: the
-   fault hook is reinstalled by [install_hooks] with this job's closure,
-   the iteration sink is per-job (cleared after the solve), the progress
-   hook installed here closes over this same slot, and [Mc.Job.attempt]
-   starts the model's image race afresh ([Fsm.Trans.reset_race]).  The heartbeat hook
-   goes onto the fresh manager before the model is rebuilt, so the thaw
-   of a large model beats too. *)
+(* A warm table holds at most this many bytes of node store, unique
+   and computed tables, bar its most recent manager, which it always
+   keeps: a daemon whose models are big keeps one warm. *)
+let warm_budget = 64 lsl 20
+
+let kernel_bytes m =
+  let man = Mc.Model.man m in
+  List.fold_left
+    (fun n stats -> n + List.assoc "bytes" (stats man))
+    0
+    [ Bdd.node_store_stats; Bdd.unique_table_stats; Bdd.computed_table_stats ]
+
+let live_of m = Bdd.live_nodes (Mc.Model.man m)
+
+(* The thaw phase.  The worker's warm table holds every model it has
+   run, with its unique and computed tables warm: a job on one of them
+   skips the thaw.  Only at pressure 0 -- under pressure the table is
+   emptied, and the job thaws cold and is not kept, so warm managers
+   cannot hold node capacity hostage.  A table never leaves its
+   worker's domain.  Per-job state cannot leak through a reused manager
+   or model: the fault hook is reinstalled by [install_hooks] with this
+   job's closure, the iteration sink is per-job (cleared after the
+   solve), the progress hook is reinstalled here for every job, and
+   [Mc.Job.attempt] starts the model's image race afresh
+   ([Fsm.Trans.reset_race]).  The progress hook goes onto a fresh
+   manager before the model is rebuilt, so the thaw of a large model
+   beats too.  Returns the model and the job's progress report, which
+   counts the table's other managers with the running one. *)
 let thaw t slot (job : job) ~pressure tracer =
-  let keep = pressure = 0 in
-  if not keep then slot.scratch <- None;
+  if pressure > 0 then slot.warm <- [];
   let key = job.model_key in
+  let others = List.filter (fun (k, _) -> k <> key) slot.warm in
+  let held = List.fold_left (fun n (_, m) -> n + live_of m) 0 others in
+  let report live = progress t slot (held + live) in
+  let hook = Some (fun m -> report (Bdd.live_nodes m)) in
   let t_thaw = Mc.Monotonic.now () in
   let model =
     Obs.Tracer.with_span tracer ~cat:"srv"
       ~args:(fun () -> [ ("model_key", Obs.Json.String key) ])
       "job.thaw"
       (fun () ->
-        match slot.scratch with
-        | Some (k, m) when k = key ->
+        match List.assoc_opt key slot.warm with
+        | Some m ->
           Obs.Registry.incr t.manager_reuses;
+          Bdd.set_progress_hook (Mc.Model.man m) hook;
           beat t slot;
           m
-        | _ ->
-          let m =
-            Mc.Parallel.thaw
-              ?cache_budget:(Sched.thaw_cache_budget ~pressure)
-              ~on_manager:(fun m ->
-                Bdd.set_progress_hook m
-                  (Some (fun m -> progress t slot (Bdd.live_nodes m))))
-              job.frozen
-          in
-          if keep then slot.scratch <- Some (key, m);
-          m)
+        | None ->
+          Mc.Parallel.thaw
+            ?cache_budget:(Sched.thaw_cache_budget ~pressure)
+            ~on_manager:(fun m -> Bdd.set_progress_hook m hook)
+            job.frozen)
   in
+  if pressure = 0 then slot.warm <- (key, model) :: others;
   Obs.Registry.observe t.thaw_ms (ms (Mc.Monotonic.now () -. t_thaw));
-  model
+  (model, report)
 
 (* This job's hooks on its manager: the fault hook turns the
    supervisor's cancel into [Limits.Exceeded] and fires the test-only
@@ -437,7 +454,8 @@ let install_hooks t slot (job : job) ~attempt man =
    cancel and progress (through [sink]) are re-threaded through the
    portfolio's own callbacks (else every portfolio job longer than the hang timeout
    would be declared hung and its domains leaked). *)
-let solve t slot (job : job) ~attempt ~remaining ~pressure ~sink tracer model =
+let solve t slot (job : job) ~attempt ~remaining ~pressure ~report ~sink tracer
+    model =
   let spec = job.spec in
   let strategy =
     match spec.Jobspec.meth with
@@ -470,7 +488,7 @@ let solve t slot (job : job) ~attempt ~remaining ~pressure ~sink tracer model =
         ~checkpoint_every:t.cfg.checkpoint_every
         ?resume:(if attempt > 1 then job.checkpoint_path else None)
         ~should_cancel:(fun () -> slot.st.Sched.cancel)
-        ~on_progress:(fun ~live -> progress t slot live)
+        ~on_progress:(fun ~live -> report live)
         ~iter_sink:sink strategy model
     in
     resumed_at := Option.value ~default:0 r.Mc.Job.resumed_at;
@@ -509,33 +527,50 @@ let run_job t slot (job : job) ~attempt =
           (Int64.of_float
              (Float.max 0.0 (job.dispatched_at -. job.submitted_at) *. 1e9));
     let pressure = note_pressure t in
-    let model = thaw t slot job ~pressure tracer in
+    let model, report = thaw t slot job ~pressure tracer in
     let sink = install_hooks t slot job ~attempt (Mc.Model.man model) in
     let r =
       Fun.protect
         ~finally:(fun () -> Obs.Iterlog.set_sink None)
         (fun () ->
-          solve t slot job ~attempt ~remaining ~pressure ~sink tracer model)
+          solve t slot job ~attempt ~remaining ~pressure ~report ~sink tracer
+            model)
     in
     epilogue t slot job ~attempt tracer r
 
 (* --- worker lifecycle ------------------------------------------------ *)
 
-(* Affinity: a worker holding a warm scratch manager asks the queue for
-   a job on the same declaration first; the admission queue bounds how
-   often any job can be overtaken this way.  After a job the worker
-   publishes its scratch's live count in place of the job's last one,
-   and drops the scratch (publishing 0) if {!Sched.idle} says so. *)
+(* After a job the worker trims its warm table: to the byte budget,
+   then to what {!Sched.idle} lets it keep; it publishes the count of
+   what is left in place of the job's last one. *)
+let retain t slot =
+  let rec within bytes = function
+    | [] -> []
+    | ((_, m) as e) :: rest ->
+      let bytes = bytes + kernel_bytes m in
+      if bytes <= warm_budget then e :: within bytes rest else []
+  in
+  let warm =
+    match slot.warm with
+    | [] -> []
+    | ((_, m) as e) :: rest -> e :: within (kernel_bytes m) rest
+  in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let lives = List.map (fun (_, m) -> live_of m) warm in
+  let keep =
+    locked t (fun () ->
+        Atomic.set slot.live 0;
+        let n = Sched.idle t.sched slot.st ~live:(live_sum t) lives in
+        Atomic.set slot.live (List.fold_left ( + ) 0 (take n lives));
+        n)
+  in
+  slot.warm <- take keep warm
+
 let worker_loop t slot =
   let rec loop () =
     if slot.st.Sched.abandoned then ()
     else
-      let prefer =
-        Option.map
-          (fun (key, _) (j : job) -> String.equal j.model_key key)
-          slot.scratch
-      in
-      match Admission.pop ?prefer t.queue with
+      match Admission.pop t.queue with
       | None -> ()
       | Some job ->
         beat t slot;
@@ -553,19 +588,7 @@ let worker_loop t slot =
            busy on its job so the supervisor can requeue.  A zombie gets
            here only after its abandonment and leaves at the loop's
            check. *)
-        let retained =
-          match slot.scratch with
-          | Some (_, m) -> Bdd.live_nodes (Mc.Model.man m)
-          | None -> 0
-        in
-        let keep =
-          locked t (fun () ->
-              Atomic.set slot.live retained;
-              let keep = Sched.idle t.sched slot.st ~live:(live_sum t) in
-              if not keep then Atomic.set slot.live 0;
-              keep)
-        in
-        if not keep then slot.scratch <- None;
+        retain t slot;
         loop ()
   in
   loop ()
@@ -578,7 +601,7 @@ let make_slot t st =
       hb = Atomic.make (Mc.Monotonic.now ());
       live = Atomic.make 0;
       fl_beat = Atomic.make 0.0;
-      scratch = None;
+      warm = [];
     }
   in
   let d =
@@ -599,7 +622,7 @@ let create ?(config = default_config) ~queue_capacity () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let queue = Admission.create ~max_passes:workers ~capacity:queue_capacity () in
+  let queue = Admission.create ~capacity:queue_capacity () in
   let events = Queue.create () in
   (* Under the event lock, the Requeued event is queued before the job:
      no worker can run the retry and report it first. *)

@@ -10,12 +10,13 @@
     (its job was requeued as it was abandoned) and its domain is never
     joined.
 
-    A worker keeps its last thawed model as scratch and reuses it,
-    warm, for the next job on the same declaration
-    ({!Jobspec.model_key}; counted under ["srv.manager_reuses"]), which
-    it prefers within {!Admission.pop}'s bound.  Each dispatch solves
-    with one {!Mc.Job.attempt}; an XICI retry resumes from the job's
-    checkpoint when one was written. *)
+    A worker keeps a warm table of the models it has run, keyed by
+    {!Jobspec.model_key}, and reruns a job on one of them on its warm
+    manager (counted under ["srv.manager_reuses"]).  The table stays in
+    the worker's domain and is bounded by a fixed byte budget and by
+    the memory-pressure rule.  Each dispatch solves with one
+    {!Mc.Job.attempt}; an XICI retry resumes from the job's checkpoint
+    when one was written. *)
 
 exception Injected_crash
 (** Raised by a job's test-only fault spec; deliberately not caught by
@@ -136,8 +137,8 @@ val outstanding : t -> int
 (** Admitted jobs not yet resolved (queued + inflight). *)
 
 val total_live : t -> int
-(** Live BDD nodes over all workers: a busy one's running manager, an
-    idle one's retained scratch. *)
+(** Live BDD nodes over all workers: each one's warm table, and a busy
+    one's running manager. *)
 
 type slot_health = {
   sh_sid : int;

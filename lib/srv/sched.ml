@@ -117,15 +117,20 @@ let pressure t ~live:l =
     else if l >= cap / 2 then 1
     else 0
 
-(* The driver publishes the retained count, then this applies the rule
-   a dispatch applies: at pressure >= 1 the retained state is dropped.
-   Every idle retention thus passed a check that included all other
-   published counts, so idle retained state alone stays under half the
-   cap and cannot hold the pool at a refusing level. *)
-let idle t s ~live =
+(* The rule a dispatch applies, applied to each warm manager the slot
+   retains, most recent first: one that would lift the pool to pressure
+   >= 1 is dropped, and so is every older one.  Every idle retention
+   thus passed a check that included all other published counts, so
+   idle retained state alone stays under half the cap and cannot hold
+   the pool at a refusing level. *)
+let idle t s ~live retained =
   s.busy <- false;
   s.current <- None;
-  pressure t ~live < 1
+  let rec keep n live = function
+    | l :: rest when pressure t ~live:(live + l) < 1 -> keep (n + 1) (live + l) rest
+    | _ -> n
+  in
+  keep 0 live retained
 
 (* Degradation before refusal: level 1 drops retained models and
    shrinks the thaw-time cache budget, level 2 additionally clamps

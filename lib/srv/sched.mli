@@ -59,10 +59,11 @@ val settle : 'j t -> 'j slot -> 'j -> attempt:int -> decided:bool -> outcome
 (** A worker's execution returned: an undecided report on a cancelled
     slot retries the job; anything else finishes it. *)
 
-val idle : 'j t -> 'j slot -> live:int -> bool
-(** The slot's execution is over.  [live] counts the nodes it retained
-    and those of every other slot; returns whether it may keep them,
-    which it may not if that is pressure 1 or more. *)
+val idle : 'j t -> 'j slot -> live:int -> int list -> int
+(** The slot's execution is over.  [live] counts the nodes of every
+    other slot, and the list those of each warm manager the slot
+    retains, most recent first.  Returns how many of them, from the
+    front, it may keep: the most that leave the pool at pressure 0. *)
 
 type decision = Leave | Cancel | Reap of string | Abandon
 
@@ -79,8 +80,8 @@ val requeue_current :
 
 val pressure : 'j t -> live:int -> int
 (** 0–3: [live] nodes over all workers at half, three quarters and all
-    of [max_total_live]; always 0 without a cap.  Level 1 drops retained
-    scratch; level 3 refuses work. *)
+    of [max_total_live]; always 0 without a cap.  Level 1 drops warm
+    managers; level 3 refuses work. *)
 
 val thaw_cache_budget : pressure:int -> int option
 val live_budget : 'j t -> pressure:int -> int option -> int option

@@ -15,6 +15,19 @@ let run args =
   | Unix.WEXITED code -> (out, code)
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "icv was killed"
 
+(* Run [icv] with [args]; its standard error and exit code. *)
+let run_err args =
+  let out, inp, err =
+    Unix.open_process_args_full icv (Array.of_list ("icv" :: args))
+      (Unix.environment ())
+  in
+  close_out inp;
+  ignore (In_channel.input_all out);
+  let msg = In_channel.input_all err in
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED code -> (msg, code)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "icv was killed"
+
 let contains ~sub s =
   let n = String.length sub in
   let rec at i =
@@ -49,6 +62,22 @@ let test_unread_flag () =
   Alcotest.(check bool) ("filter-8 proves:\n" ^ out) true
     (contains ~sub:"avg-filter(depth=8" out && contains ~sub:"proved" out)
 
+(* The filter needs a power-of-two depth: any other, the default 5
+   included, is a one-line user error, not an internal one. *)
+let test_filter_depth () =
+  List.iter
+    (fun args ->
+      let msg, code = run_err ("--model" :: "filter" :: args) in
+      let what = String.concat " " ("filter" :: args) in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Alcotest.(check bool)
+        (what ^ " names the rule in one line:\n" ^ msg)
+        true
+        (contains ~sub:"icv: " msg
+        && contains ~sub:"power of two" msg
+        && String.index_opt (String.trim msg) '\n' = None))
+    [ []; [ "--depth"; "6" ] ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -58,5 +87,7 @@ let () =
             test_max_created_nodes;
           Alcotest.test_case "a flag the model does not read" `Quick
             test_unread_flag;
+          Alcotest.test_case "a filter depth that is not a power of two"
+            `Quick test_filter_depth;
         ] );
     ]

@@ -693,6 +693,27 @@ let test_node_counts_ignore_gc_settings () =
               bug = false } );
     ]
 
+(* A manager reused run after run must not keep the dead handles of
+   earlier runs rooted: 3,000 warm network-4 XICI reruns once grew the
+   handle registry from 1,024 to 131,072 slots, most of them handles the
+   major GC had not yet cleared. *)
+let test_warm_reruns_bound_registry () =
+  let m = Models.Network.make { Models.Network.procs = 4; bug = false } in
+  let handles () =
+    List.assoc "handles" (Bdd.node_store_stats (Mc.Model.man m))
+  in
+  for i = 1 to 3000 do
+    let r = Mc.Runner.run Mc.Runner.Xici m in
+    if i = 1 then
+      Alcotest.(check string) "cold run proves" "proved"
+        (Mc.Report.status_string r)
+    else if r.Mc.Report.nodes_created <> 0 then
+      Alcotest.failf "warm rerun %d created %d nodes" i r.Mc.Report.nodes_created
+  done;
+  let n = handles () in
+  if n > 1 lsl 15 then
+    Alcotest.failf "registry grew to %d slots over 3,000 warm reruns" n
+
 let () =
   Alcotest.run "mc"
     [
@@ -748,6 +769,11 @@ let () =
             test_portfolio_external_cancel;
           qtest ~count:20 "portfolio agrees with explicit-state reference"
             prop_portfolio_agreement;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "warm reruns keep the handle registry bounded"
+            `Quick test_warm_reruns_bound_registry;
         ] );
       ( "agreement with explicit-state reference",
         [
