@@ -723,6 +723,44 @@ let test_walk_stamp_wrap () =
   Alcotest.(check (pair int int)) "sizes after gc" (sf, sg)
     (Bdd.size f, Bdd.size g)
 
+(* Every [Bdd.t] a caller holds is a handle in the manager's weak
+   registry; [node_store_stats] reports the registry's slots, which
+   must cover every handle held. *)
+let test_handle_stats () =
+  let man, vars = Testutil.fresh_man 1 in
+  let slots () = List.assoc "handles" (Bdd.node_store_stats man) in
+  let before = slots () in
+  Alcotest.(check bool) "a fresh registry has slots" true (before > 0);
+  let held = Array.init (4 * before) (fun _ -> Bdd.var man vars.(0)) in
+  Alcotest.(check bool) "slots cover every held handle" true
+    (slots () >= Array.length held);
+  Alcotest.(check bool) "constants take no slot" true
+    (let n = slots () in
+     for _ = 1 to 4 * before do
+       ignore (Sys.opaque_identity (Bdd.tru man))
+     done;
+     slots () = n);
+  ignore (Sys.opaque_identity held)
+
+(* A registry of 2^14 slots or more collects before it doubles: once
+   the handles that filled it are dropped, churning through many more
+   short-lived ones reuses its slots instead of doubling it on dead
+   entries the major GC has not cleared yet. *)
+let test_dead_handles_do_not_grow_registry () =
+  let man, vars = Testutil.fresh_man 1 in
+  let slots () = List.assoc "handles" (Bdd.node_store_stats man) in
+  let fill n =
+    let held = Array.init n (fun _ -> Bdd.var man vars.(0)) in
+    ignore (Sys.opaque_identity held);
+    slots ()
+  in
+  let size = fill 9_000 in
+  Alcotest.(check bool) "filled past 2^14 slots" true (size >= 1 lsl 14);
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (Bdd.var man vars.(0)))
+  done;
+  Alcotest.(check int) "no doubling on dead handles" size (slots ())
+
 let test_reorder_interleaves () =
   (* Equality of two 4-bit words declared far apart costs ~2^w nodes;
      a good order interleaves them and costs ~3w.  The greedy search
@@ -1416,6 +1454,10 @@ let () =
           Alcotest.test_case "walks leave hash-consing alone" `Quick
             test_walk_leaves_hashcons;
           Alcotest.test_case "walk stamp wrap" `Quick test_walk_stamp_wrap;
+          Alcotest.test_case "handle stats cover held handles" `Quick
+            test_handle_stats;
+          Alcotest.test_case "dead handles do not grow the registry" `Quick
+            test_dead_handles_do_not_grow_registry;
         ] );
       ( "properties",
         [

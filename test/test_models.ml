@@ -342,6 +342,33 @@ let test_filter_bug () =
   List.iter (check_violated_with_trace model)
     [ Mc.Runner.Forward; Mc.Runner.Xici ]
 
+(* The adder tree halves the window at each layer, so a depth that is
+   not a power of two (the CLI's default 5 among them) must be refused
+   when the model is built, not trip an assertion mid-construction. *)
+let test_filter_depth_rejected () =
+  let contains sub s =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let p depth =
+    { Models.Avg_filter.depth; sample_width = 2; assisted = false; bug = false }
+  in
+  List.iter
+    (fun depth ->
+      match Models.Avg_filter.make (p depth) with
+      | _ -> Alcotest.failf "depth %d accepted" depth
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "depth %d: message names the rule" depth)
+          true
+          (contains "power of two" msg))
+    [ 0; 1; 3; 5; 6; 12 ];
+  ignore (Models.Avg_filter.make (p 2));
+  ignore (Models.Avg_filter.make (p 4))
+
 (* --- pipelined processor ------------------------------------------------ *)
 
 type cpu_ref = {
@@ -772,6 +799,8 @@ let () =
           Alcotest.test_case "verification outcomes" `Quick
             test_filter_verification;
           Alcotest.test_case "bug variant violated" `Quick test_filter_bug;
+          Alcotest.test_case "a depth that is not a power of two is rejected"
+            `Quick test_filter_depth_rejected;
         ] );
       ( "abp",
         [
